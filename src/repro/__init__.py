@@ -80,6 +80,8 @@ Tracing quick start::
     print(report.results.decisions)         # staleness/regret summary
 """
 
+from typing import Any
+
 from repro.faults.plan import (
     FaultPlan,
     LoadBoardOutage,
@@ -108,7 +110,7 @@ from repro.model.serialization import (
 )
 from repro.model.system import DistributedDatabase
 from repro.model.view import SystemView
-from repro.policies.base import AllocationPolicy, LegacyPolicyAdapter
+from repro.policies.base import AllocationPolicy
 from repro.policies.registry import available_policies, make_policy
 from repro.runner import RunReport, RunSpec, execute, run
 from repro.telemetry import (
@@ -117,7 +119,6 @@ from repro.telemetry import (
     DecisionSummary,
     EventBus,
     EventLog,
-    KernelProfiler,
     Span,
     SpanCollector,
     SpanSummary,
@@ -136,7 +137,18 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
+
+
+def __getattr__(name: str) -> Any:
+    # Lazy for the same reason as in repro.telemetry: the profiler's
+    # module must stay unimported until ``python -m`` runs it.
+    if name == "KernelProfiler":
+        from repro.telemetry.profile import KernelProfiler
+
+        return KernelProfiler
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DistributedDatabase",
@@ -149,7 +161,6 @@ __all__ = [
     "paper_classes",
     "paper_defaults",
     "AllocationPolicy",
-    "LegacyPolicyAdapter",
     "SystemView",
     "make_policy",
     "available_policies",

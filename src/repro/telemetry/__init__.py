@@ -26,6 +26,8 @@ and a **kernel self-profiler** (:mod:`repro.telemetry.profile`,
 phases.
 """
 
+from typing import Any
+
 from repro.telemetry.bus import EventBus, EventLog, Handler, Subscription
 from repro.telemetry.events import (
     EVENT_REGISTRY,
@@ -84,7 +86,6 @@ from repro.telemetry.sampler import (
     sample_from_dict,
     sample_to_dict,
 )
-from repro.telemetry.profile import KernelProfiler, PhaseReport
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
 from repro.telemetry.tracing import (
     TRACE_FORMAT_VERSION,
@@ -200,3 +201,14 @@ __all__ = [
     "KernelProfiler",
     "PhaseReport",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # The profiler loads on first use: importing it eagerly here would
+    # make ``python -m repro.telemetry.profile`` find its own module
+    # already in sys.modules and print runpy's RuntimeWarning.
+    if name in ("KernelProfiler", "PhaseReport"):
+        from repro.telemetry import profile
+
+        return getattr(profile, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -146,8 +146,9 @@ class ServiceStarted(TelemetryEvent):
 class QueryCompleted(TelemetryEvent):
     """A query's results arrived back home (the full life-cycle record).
 
-    Carries every life-cycle timestamp so consumers (e.g.
-    :class:`repro.sim.trace.QueryTracer`) need no access to model objects.
+    Carries every life-cycle timestamp so consumers (e.g. the per-query
+    analysis in ``examples/trace_analysis.py``) need no access to model
+    objects.
     ``time`` is the completion instant.
     """
 
@@ -184,7 +185,7 @@ class LoadBoardUpdated(TelemetryEvent):
 
 @dataclass(frozen=True, slots=True)
 class TraceMessage(TelemetryEvent):
-    """A labelled kernel event fired (the old ``trace`` hook, typed).
+    """A labelled kernel event fired.
 
     High-volume: one per labelled event on the future-event list.  The
     engine only constructs these when a subscriber asked for

@@ -90,3 +90,20 @@ class TestMainCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dispatch" in proc.stdout
+
+    def test_profiler_module_runs_without_runpy_warning(self):
+        """``repro.telemetry`` must not import the profiler eagerly, or
+        runpy warns that the module was imported before it executed."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.telemetry.profile",
+                "--warmup", "20", "--duration", "100",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env=_env_with_src(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
