@@ -20,6 +20,9 @@ reversibly:
   :meth:`Simulator._drive` binds ``queue.pop_due`` at entry, so the
   patch must be active *before* ``run()`` — entering the context
   manager before building the system satisfies this.
+* ``claim_next`` on the future-event list — a tail resume that runs in
+  place logs the record its resume event's pop would have logged, at
+  the same position in the stream.
 
 Each record is folded into a running BLAKE2b digest, so comparing two
 multi-million-event traces is O(1) memory beyond the bounded record
@@ -44,7 +47,7 @@ from contextlib import contextmanager
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
 from repro.runner import RunReport, RunSpec, run
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.telemetry.session import TelemetryConfig
 
@@ -100,10 +103,12 @@ class DeterminismTrace:
         self.add(f"draw {stream} {method} {value!r}")
 
     def event(self, event: Event) -> None:
-        self.add(
-            f"event t={event.time!r} p={event.priority} seq={event.seq} "
-            f"label={event.label}"
-        )
+        self.fired(event.time, event.priority, event.seq, event.label)
+
+    def fired(
+        self, time: float, priority: int, seq: int, label: Optional[str]
+    ) -> None:
+        self.add(f"event t={time!r} p={priority} seq={seq} label={label}")
 
     def hexdigest(self) -> str:
         return self._digest.hexdigest()
@@ -173,14 +178,26 @@ def capture_trace() -> Iterator[DeterminismTrace]:
 
         return recording_pop
 
+    original_claim = EventQueue.claim_next
+
+    def recording_claim(
+        self: EventQueue, time: float, label: Optional[str]
+    ) -> Optional[int]:
+        seq = original_claim(self, time, label)
+        if seq is not None:
+            trace.fired(time, DEFAULT_PRIORITY, seq, label)
+        return seq
+
     patches: List[Tuple[type, str, Any]] = [
         (RandomStreams, "stream", RandomStreams.stream),
         (EventQueue, "pop", EventQueue.pop),
         (EventQueue, "pop_due", EventQueue.pop_due),
+        (EventQueue, "claim_next", EventQueue.claim_next),
     ]
     setattr(RandomStreams, "stream", recording_stream)
     setattr(EventQueue, "pop", wrap_pop(EventQueue.pop))
     setattr(EventQueue, "pop_due", wrap_pop(EventQueue.pop_due))
+    setattr(EventQueue, "claim_next", recording_claim)
     try:
         yield trace
     finally:

@@ -23,8 +23,12 @@ fast loop (pop, advance clock, call) while nobody subscribes to
 loop only while an explicit subscriber exists.  Both loops drive the
 queue through :meth:`~repro.sim.events.EventQueue.pop_due`, which fuses
 the peek / horizon-check / pop triple of the pre-overhaul loop into one
-call.  The golden suite (``tests/golden/``) pins that every layout
-replays recorded runs byte-identically.
+call.  Only the fast loop permits *in-place tail resumes* (see
+:meth:`~repro.sim.process.Process.resume_now`): a station's completion
+callback may then run its process's next step itself instead of pushing
+a zero-delay resume event that would be the very next pop.  The golden
+suite (``tests/golden/``) pins that every layout replays recorded runs
+byte-identically.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ class Simulator:
         "_running",
         "_process_count",
         "_event_count",
+        "_tail_resume",
         "current_process",
     )
 
@@ -84,6 +89,10 @@ class Simulator:
         self._running = False
         self._process_count = 0
         self._event_count = 0
+        #: True only while the fast loop of :meth:`_drive` runs: the one
+        #: place where a tail resume may run in place (no trace to emit,
+        #: no per-call event budget to keep).
+        self._tail_resume = False
         #: The process whose generator is currently executing, or ``None``
         #: when control is in plain event callbacks.  Maintained by
         #: :class:`~repro.sim.process.Process`; model code reads it to
@@ -184,7 +193,14 @@ class Simulator:
         # for *explicit* subscribers (bus.trace_wanted), never catch-alls.
         if self.bus.trace_wanted and event.label is not None:
             self.bus.emit(TraceMessage(time=self.now, label=event.label))
-        event.callback()
+        # One event per call, even when step() runs inside a callback of
+        # the fast loop: no tail resume runs in place here.
+        tail_resume = self._tail_resume
+        self._tail_resume = False
+        try:
+            event.callback()
+        finally:
+            self._tail_resume = tail_resume
         if event.recyclable:
             queue.recycle(event)
         return True
@@ -194,8 +210,10 @@ class Simulator:
 
         Two hand-specialized loops with hoisted locals; control hops
         between them only when a ``TraceMessage`` subscription appears or
-        disappears mid-run.  The fired-event tally is flushed to
-        ``self._event_count`` even when a callback raises.
+        disappears mid-run.  ``_tail_resume`` is set exactly while the
+        fast loop runs.  The fired-event tally is flushed to
+        ``self._event_count`` even when a callback raises; in-place tail
+        resumes count themselves there directly.
         """
         queue = self._queue
         pop_due = queue.pop_due
@@ -205,6 +223,7 @@ class Simulator:
         try:
             while True:
                 if not bus.trace_wanted:
+                    self._tail_resume = True
                     while True:
                         event = pop_due(limit)
                         if event is None:
@@ -216,6 +235,7 @@ class Simulator:
                             recycle(event)
                         if bus.trace_wanted:
                             break
+                    self._tail_resume = False
                 else:
                     emit = bus.emit
                     while True:
@@ -233,6 +253,7 @@ class Simulator:
                         if not bus.trace_wanted:
                             break
         finally:
+            self._tail_resume = False
             self._event_count += fired
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:

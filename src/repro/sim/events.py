@@ -3,7 +3,9 @@
 The kernel is event-driven at its core: every state change happens inside an
 :class:`Event` that fires at a simulated time.  Process-oriented modelling
 (:mod:`repro.sim.process`) is layered on top by turning each generator resume
-into an event.
+into an event — or, when a station's completion callback resumes a process
+as its last act and that resume is provably the next event, by running it in
+place under a claimed sequence number (:meth:`EventQueue.claim_next`).
 
 The future-event list, :class:`EventQueue`, is a total order by ``(time,
 priority, seq)`` with lazy deletion: a binary heap of ``(time, priority,
@@ -280,8 +282,51 @@ class EventQueue:
             return event
         return None
 
+    def claim_next(self, time: float, label: Optional[str]) -> Optional[int]:
+        """Claim the ``seq`` of a zero-delay event at *time* if it would pop next.
+
+        A rented event pushed now at the current time *time* is the very
+        next live event exactly when no live event is due at or before
+        *time*: it would carry the largest ``seq`` and
+        :data:`DEFAULT_PRIORITY`, and every later-scheduled event also
+        carries a larger ``seq``.  In that case the sequence number the
+        event would have taken is consumed and returned, and the caller
+        runs the event's work in place instead of pushing it; otherwise
+        nothing changes and ``None`` is returned.  Any live event at
+        *time*, whatever its priority, refuses the claim.  Cancelled
+        entries at the top are dropped on the way, as in :meth:`pop_due`.
+
+        *label* is the label the event would have carried.  The queue does
+        not keep it; observers that wrap this method (the determinism
+        sanitizer) record it alongside the claimed ``seq``.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if not event._cancelled:
+                if entry[0] <= time:
+                    return None
+                break
+            heapq.heappop(heap)
+            if event.recyclable:
+                self.recycle(event)
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def clear(self) -> None:
-        """Discard every pending event."""
+        """Discard every pending event.
+
+        Discarded events are marked cancelled, so cancelling one of their
+        handles afterwards is the documented no-op and the live count
+        stays right.  Rented events are not free-listed: their holders
+        (a process, a station) may still hold the handle, and a
+        reincarnated object would let such a stale ``cancel`` retract an
+        unrelated event.
+        """
+        for entry in self._heap:
+            entry[3]._cancelled = True
         self._heap.clear()
         self._live = 0
 

@@ -19,8 +19,10 @@ methodology used by the paper [Melm84], where model entities are active
 processes that alternate between holding, queueing for service, and
 passivating.
 
-Hot-path layout (see ``docs/performance.md``): every generator resume is
-one kernel event, so :meth:`Process._schedule_resume` is among the
+Hot-path layout (see ``docs/performance.md``): a generator resume is a
+kernel event, except a station's tail resume that is provably the next
+event, which runs in place (:meth:`Process.resume_now`) and still counts
+as one fired event.  :meth:`Process._schedule_resume` is among the
 hottest call sites in a run.  It rents a recyclable event from the
 future-event list (no per-resume ``Event``/lambda allocation), reuses a
 cached bound resume callback with the pending value parked in a slot,
@@ -95,7 +97,14 @@ class WaitFor(Command):
 
     def execute(self, process: "Process") -> None:
         def resume(value: Any = None) -> None:
-            process.resume_now(value)
+            # The arming component (a ring delivery) keeps running after
+            # it resumes the process, so this always hops through a
+            # zero-delay resume event, never runs in place.
+            if process._state is not ProcessState.WAITING:
+                raise ProcessError(
+                    f"{process.name}: resume_now() on a {process._state.value} process"
+                )
+            process._schedule_resume(0.0, value)
 
         self.arm(resume)
 
@@ -228,14 +237,34 @@ class Process:
     def resume_now(self, value: Any = None) -> None:
         """Resume a WAITING process at the current instant (resource use).
 
-        Resources call this when a service completes.  Unlike
+        Stations call this when a service completes, and it must be the
+        *last act* of their completion callback.  Unlike
         :meth:`reactivate` it expects the WAITING state.
+
+        The resume is a zero-delay event unless the kernel can prove that
+        event would be the very next pop: the simulator's fast loop is
+        running (not :meth:`~repro.sim.engine.Simulator.step`, a
+        ``max_events`` run or the ``TraceMessage`` loop) and the queue
+        has no live event due at or before ``now``
+        (:meth:`~repro.sim.events.EventQueue.claim_next`, which then
+        consumes the event's ``seq``).  The process's next step then runs
+        right here and counts as one fired event, so the event order,
+        the ``seq`` numbers and ``events_fired`` are those of the hop.
         """
         if self._state is not ProcessState.WAITING:
             raise ProcessError(
                 f"{self.name}: resume_now() on a {self._state.value} process"
             )
-        self._schedule_resume(0.0, value)
+        sim = self.sim
+        if (
+            sim._tail_resume
+            and not sim.bus.trace_wanted
+            and self._queue.claim_next(sim.now, self._resume_label) is not None
+        ):
+            sim._event_count += 1
+            self._step(value)
+        else:
+            self._schedule_resume(0.0, value)
 
     def _step(self, value: Any) -> None:
         self._resume_event = None

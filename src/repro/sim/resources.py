@@ -196,18 +196,6 @@ class FCFSServer(Server):
         return super().utilization(server_count or self.servers)
 
 
-class _PSJob:
-    """Bookkeeping record for one job inside a :class:`PSServer`."""
-
-    __slots__ = ("process", "finish_virtual", "arrived", "seq")
-
-    def __init__(self, process: Process, finish_virtual: float, arrived: float, seq: int) -> None:
-        self.process = process
-        self.finish_virtual = finish_virtual
-        self.arrived = arrived
-        self.seq = seq
-
-
 class PSServer(Server):
     """An egalitarian Processor-Sharing server (virtual-time fair queueing).
 
@@ -217,6 +205,10 @@ class PSServer(Server):
     virtual time ``V`` finishes when the virtual clock reaches ``V + d``.
     Only the earliest virtual finish needs a scheduled event, and the event
     is rebuilt on every arrival/departure.
+
+    Each job is one ``(finish_virtual, seq, process, arrived)`` tuple in
+    the min-heap; ``seq`` is unique, so comparisons never reach the
+    process.  The hot paths read the job count once per call.
     """
 
     def __init__(self, sim, name: str = "cpu") -> None:
@@ -232,34 +224,29 @@ class PSServer(Server):
     def job_count(self) -> int:
         return len(self._jobs)
 
-    def _advance_virtual(self) -> None:
+    def _accept(self, process: Process, demand: float) -> None:
         now = self.sim.now
-        n = len(self._jobs)
+        jobs = self._jobs
+        n = len(jobs)
         if n:
             self._virtual += (now - self._last_update) / n
         self._last_update = now
-
-    def _accept(self, process: Process, demand: float) -> None:
-        now = self.sim.now
-        self._advance_virtual()
-        job = _PSJob(process, self._virtual + demand, now, next(self._seq))
-        self._jobs.push((job.finish_virtual, job.seq, job))
+        jobs.push((self._virtual + demand, next(self._seq), process, now))
         self.population.add(1)
-        if len(self._jobs) == 1:
+        if not n:
             self.busy.set(1)
         # PS has no queueing phase: service starts immediately at reduced rate.
         self.waits.record(0.0)
-        self._reschedule()
+        self._reschedule(n + 1)
 
-    def _reschedule(self) -> None:
+    def _reschedule(self, n: int) -> None:
+        """Rebuild the completion event for the ``n`` jobs now present."""
         if self._completion_event is not None:
-            self.sim.cancel(self._completion_event)
+            self._equeue.cancel(self._completion_event)
             self._completion_event = None
-        if not self._jobs:
+        if not n:
             return
-        n = len(self._jobs)
-        finish_virtual = self._jobs.peek()[0]
-        remaining_virtual = finish_virtual - self._virtual
+        remaining_virtual = self._jobs.peek()[0] - self._virtual
         if remaining_virtual < 0:  # floating-point drift guard
             remaining_virtual = 0.0
         delay = remaining_virtual * n
@@ -272,28 +259,35 @@ class PSServer(Server):
 
     def _complete_front(self) -> None:
         self._completion_event = None
-        self._advance_virtual()
-        finish_virtual, _seq, job = self._jobs.pop()
-        # Pin the virtual clock to the finish value to stop drift compounding.
-        self._virtual = max(self._virtual, finish_virtual)
         now = self.sim.now
+        jobs = self._jobs
+        n = len(jobs)
+        virtual = self._virtual + (now - self._last_update) / n
+        self._last_update = now
+        finish_virtual, _seq, process, arrived = jobs.pop()
+        # Pin the virtual clock to the finish value to stop drift compounding.
+        if finish_virtual > virtual:
+            virtual = finish_virtual
+        self._virtual = virtual
         self.population.add(-1)
-        if not self._jobs:
+        if n == 1:
             self.busy.set(0)
-        self.responses.record(now - job.arrived)
+        self.responses.record(now - arrived)
         self.completions += 1
-        self._reschedule()
-        job.process.resume_now()
+        self._reschedule(n - 1)
+        process.resume_now()
 
     def abort_all(self) -> int:
         flushed = len(self._jobs)
         if self._completion_event is not None:
-            self.sim.cancel(self._completion_event)
+            self._equeue.cancel(self._completion_event)
             self._completion_event = None
-        self._advance_virtual()
-        self._jobs.clear()
+        now = self.sim.now
         if flushed:
+            self._virtual += (now - self._last_update) / flushed
             self.population.add(-flushed)
+        self._last_update = now
+        self._jobs.clear()
         self.busy.set(0)
         return flushed
 

@@ -62,6 +62,20 @@ def test_event_pops_are_recorded():
     assert "t=1.0" in trace.records[0]
 
 
+def test_in_place_claims_are_recorded_like_pops():
+    with capture_trace() as trace:
+        queue = EventQueue()
+        queue.push(Event(1.0, _noop, label="busy"))
+        assert queue.claim_next(1.0, "p:resume") is None  # refused: no record
+        queue.pop()
+        seq = queue.claim_next(1.0, "p:resume")
+    assert seq == 1
+    assert trace.records == [
+        "event t=1.0 p=0 seq=0 label=busy",
+        "event t=1.0 p=0 seq=1 label=p:resume",
+    ]
+
+
 def test_pop_due_past_horizon_records_nothing():
     with capture_trace() as trace:
         queue = EventQueue()
@@ -73,11 +87,14 @@ def test_pop_due_past_horizon_records_nothing():
 def test_patches_are_restored_after_exit():
     original_stream = RandomStreams.stream
     original_pop = EventQueue.pop
+    original_claim = EventQueue.claim_next
     with capture_trace():
         assert RandomStreams.stream is not original_stream
         assert EventQueue.pop is not original_pop
+        assert EventQueue.claim_next is not original_claim
     assert RandomStreams.stream is original_stream
     assert EventQueue.pop is original_pop
+    assert EventQueue.claim_next is original_claim
     # And draws outside the context are plain random.Random draws.
     rng = RandomStreams(master_seed=7).stream("s")
     assert type(rng).__module__ == "random"
@@ -154,6 +171,16 @@ def test_smoke_scenario_replays_identically(capsys):
     report = compare_replays(smoke_scenario(seed=11))
     assert report.identical
     assert report.records[0] > 1000  # the run really was instrumented
+
+
+def test_smoke_scenario_stream_is_pinned():
+    # Exact draw/event stream of the smoke run, in-place tail resumes
+    # recorded where their resume event's pop would be: same event
+    # order, same seqs, same draws as the kernel that always hopped.
+    with capture_trace() as trace:
+        smoke_scenario(seed=11)()
+    assert trace.count == 15235
+    assert trace.hexdigest() == "b790bf58cf35e746b2c42a81e9108e01"
 
 
 def test_cli_smoke_exits_zero(capsys):

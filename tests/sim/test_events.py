@@ -122,6 +122,61 @@ class TestEventQueue:
         assert len(queue) == 0
         assert queue.peek_time() is None
 
+    def test_cancel_after_clear_keeps_live_count(self):
+        # clear() used to leave its events un-cancelled: cancelling a
+        # stale handle drove the live count to -1 (len() raised), and
+        # after one more push the queue claimed to be empty.
+        queue = EventQueue()
+        stale = queue.push(Event(1.0, _noop))
+        rented = queue.rent(1.0, _noop, "r")
+        queue.clear()
+        queue.cancel(stale)
+        queue.cancel(rented)
+        assert len(queue) == 0
+        assert stale.cancelled and rented.cancelled
+        queue.push(Event(2.0, _noop, label="live"))
+        assert len(queue) == 1
+        assert queue
+        assert queue.pop().label == "live"
+
+    def test_clear_does_not_reincarnate_a_held_rented_event(self):
+        queue = EventQueue()
+        held = queue.rent(1.0, _noop, "held")
+        queue.clear()
+        fresh = queue.rent(2.0, _noop, "fresh")
+        assert fresh is not held
+        queue.cancel(held)  # a stale handle: must not retract ``fresh``
+        assert len(queue) == 1
+        assert queue.pop() is fresh
+
+
+class TestClaimNext:
+    def test_claims_when_nothing_is_due(self):
+        queue = EventQueue()
+        assert queue.claim_next(0.0, "p:resume") == 0
+        queue.push(Event(2.0, _noop))
+        assert queue.claim_next(1.0, "p:resume") == 2
+        # The claimed seqs are consumed: the next push takes the one after.
+        assert queue.push(Event(3.0, _noop)).seq == 3
+
+    @pytest.mark.parametrize("priority", [-1, DEFAULT_PRIORITY, 1])
+    def test_refuses_a_live_event_at_now_of_any_priority(self, priority):
+        queue = EventQueue()
+        queue.push(Event(1.0, _noop, priority=priority))
+        assert queue.claim_next(1.0, "p:resume") is None
+        assert queue.push(Event(4.0, _noop)).seq == 1  # nothing consumed
+        assert len(queue) == 2
+
+    def test_drops_cancelled_tops(self):
+        queue = EventQueue()
+        dead = queue.rent(1.0, _noop, "dead")
+        queue.push(Event(2.0, _noop, label="live"))
+        queue.cancel(dead)
+        assert queue.claim_next(1.0, "p:resume") == 2
+        assert queue.peek_time() == 2.0
+        # The dropped rented event went back to the free-list.
+        assert queue.rent(5.0, _noop, "again") is dead
+
 
 class TestValidateDelay:
     def test_accepts_zero_and_positive(self):

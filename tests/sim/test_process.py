@@ -5,6 +5,9 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.errors import ProcessError
 from repro.sim.process import Hold, Passivate, ProcessState, WaitFor
+from repro.sim.resources import DelayStation, FCFSServer
+from repro.telemetry.events import TraceMessage
+from tests.sim.paths import run_both
 
 
 class TestHold:
@@ -234,3 +237,183 @@ class TestErrors:
         sim.launch(proc())
         with pytest.raises(ValueError, match="model bug"):
             sim.run()
+
+
+class TestTailResume:
+    """A station's completion resumes its process in place only when the
+    resume event would provably be the next pop; every other case hops."""
+
+    @staticmethod
+    def _one_service(priority=None, at=1.0):
+        """One job of demand 1.0 at an FCFS disk, plus an optional marker
+        event at time *at* scheduled after the service started."""
+
+        def build(sim, log):
+            disk = FCFSServer(sim, name="disk")
+
+            def job():
+                yield disk.service(1.0)
+                log.append(("resumed", sim.now))
+                yield Hold(1.0)
+                log.append(("held", sim.now))
+
+            sim.launch(job(), name="job")
+            if priority is not None:
+                sim.schedule(
+                    0.0,
+                    lambda: sim.schedule(
+                        at, lambda: log.append(("marker", sim.now)), priority=priority
+                    ),
+                )
+
+        return build
+
+    def test_untied_completion_resumes_in_place(self):
+        hop, fast = run_both(self._one_service())
+        assert fast.log == [("resumed", 1.0), ("held", 2.0)]
+        assert (fast.in_place, fast.refused) == (1, 0)
+        # activate, completion, resume, hold: the in-place resume counts.
+        assert fast.events_fired == hop.events_fired == 4
+
+    @pytest.mark.parametrize(
+        "priority, order",
+        [
+            (-1, ["marker", "resumed"]),  # fires before the completion
+            (0, ["marker", "resumed"]),  # pending at the completion: hop
+            (1, ["resumed", "marker"]),  # pending at the completion: hop
+        ],
+    )
+    def test_completion_tied_with_a_pending_event_hops(self, priority, order):
+        hop, fast = run_both(self._one_service(priority))
+        assert [tag for tag, _ in fast.log if tag != "held"] == order
+        if priority < 0:
+            assert (fast.in_place, fast.refused) == (1, 0)
+        else:
+            assert (fast.in_place, fast.refused) == (0, 1)
+
+    def test_step_fires_exactly_one_queue_event_per_call(self):
+        def stepping(sim):
+            while True:
+                before = sim.events_fired
+                if not sim.step():
+                    return
+                assert sim.events_fired == before + 1
+
+        for build in (self._one_service(), self._one_service(priority=1, at=5.0)):
+            hop, fast = run_both(build, drive=stepping)
+            assert fast.claims == []
+            assert fast.log[:2] == [("resumed", 1.0), ("held", 2.0)]
+
+    def test_bounded_run_fires_exactly_max_events(self):
+        build = self._one_service()
+
+        def bounded(sim):
+            for expected in range(1, 5):
+                sim.run(max_events=1)
+                assert sim.events_fired == expected
+
+        hop, fast = run_both(build, drive=bounded)
+        assert fast.claims == []
+        assert fast.log == [("resumed", 1.0), ("held", 2.0)]
+
+    def test_step_inside_a_fast_loop_callback_hops(self):
+        def build(sim, log):
+            disk = FCFSServer(sim, name="disk")
+
+            def job():
+                yield disk.service(1.0)
+                log.append(("resumed", sim.now))
+
+            def nested_step():
+                before = sim.events_fired
+                sim.step()  # pops the completion at t=1.0
+                log.append(("stepped", sim.events_fired - before, sim.now))
+
+            sim.launch(job())
+            sim.schedule(0.5, nested_step)
+
+        hop, fast = run_both(build)
+        assert fast.log == [("stepped", 1, 1.0), ("resumed", 1.0)]
+        assert fast.claims == []
+
+    def test_trace_subscription_made_in_a_completion_callback_sees_the_resume(self):
+        sim = Simulator()
+        labels = []
+
+        class SubscribingStation(DelayStation):
+            def _complete(self, process, arrived):
+                sim.bus.subscribe(TraceMessage, lambda message: labels.append(message.label))
+                super()._complete(process, arrived)
+
+        station = SubscribingStation(sim, name="station")
+
+        def job():
+            yield station.service(1.0)
+            yield Hold(1.0)
+
+        sim.launch(job(), name="job")
+        sim.run()
+        # The resume after the service hops, so the new subscriber sees it.
+        assert labels == ["job:resume", "job:resume"]
+
+    def test_exception_in_resumed_generator_propagates_and_counts(self):
+        def build(sim, log):
+            disk = FCFSServer(sim, name="disk")
+
+            def job():
+                yield disk.service(1.0)
+                log.append(("resumed", sim.now))
+                raise ValueError("model bug")
+
+            sim.launch(job())
+
+        def drive(sim):
+            with pytest.raises(ValueError, match="model bug"):
+                sim.run()
+
+        hop, fast = run_both(build, drive=drive)
+        assert fast.log == [("resumed", 1.0)]
+        assert fast.in_place == 1
+        assert fast.events_fired == 3  # activate, completion, resume
+
+    @pytest.mark.parametrize(
+        "priority, expected, refused",
+        [
+            # The crash fires first: the completion event is cancelled.
+            (-1, [("crash", 1, 1.0)], 0),
+            # The completion fires first but its resume event is still
+            # pending when the crash interrupts: the resume never runs.
+            (0, [("crash", 0, 1.0)], 1),
+            # The resume (priority 0) beats the crash (priority 1).
+            (1, [("resumed", 1.0), ("crash", 0, 1.0)], 1),
+        ],
+    )
+    def test_crash_at_the_completion_instant(self, priority, expected, refused):
+        """The fault injector's teardown (abort the station, then
+        interrupt the victim) at the instant a service completes."""
+
+        def build(sim, log):
+            disk = FCFSServer(sim, name="disk")
+
+            def job():
+                try:
+                    yield disk.service(1.0)
+                    log.append(("resumed", sim.now))
+                    yield Hold(3.0)
+                    log.append(("held", sim.now))
+                except RuntimeError as exc:
+                    log.append(("interrupted", str(exc), sim.now))
+
+            victim = sim.launch(job())
+
+            def crash():
+                log.append(("crash", disk.abort_all(), sim.now))
+                if not victim.terminated:
+                    victim.interrupt(RuntimeError("site down"))
+
+            sim.schedule(0.0, lambda: sim.schedule(1.0, crash, priority=priority))
+            return lambda: (disk.completions, disk.population.integral)
+
+        hop, fast = run_both(build)
+        assert fast.log == expected + [("interrupted", "site down", 1.0)]
+        assert (fast.in_place, fast.refused) == (0, refused)

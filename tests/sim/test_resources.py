@@ -1,11 +1,14 @@
 """Unit tests for the service-center resources (FCFS, PS, delay)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import ResourceError
 from repro.sim.process import Hold
 from repro.sim.resources import DelayStation, FCFSServer, PSServer
+from tests.sim.paths import run_both
 
 
 def run_jobs(sim, server, arrivals):
@@ -227,3 +230,151 @@ class TestStatisticsReset:
         assert server.completions == 0
         assert server.waits.count == 0
         assert server.population.time_average == 0.0
+
+
+class TestTailResume:
+    """Stations resume their process in place only when the resume is
+    provably the next event; the hop and in-place runs must agree."""
+
+    @staticmethod
+    def _jobs(make_station, arrivals):
+        def build(sim, log):
+            station = make_station(sim)
+
+            def job(delay, demand, tag):
+                if delay > 0:
+                    yield Hold(delay)
+                yield station.service(demand)
+                log.append((tag, sim.now))
+
+            for delay, demand, tag in arrivals:
+                sim.launch(job(delay, demand, tag))
+            return lambda: (
+                station.completions,
+                station.population.integral,
+                station.busy.integral,
+                station.responses.total,
+            )
+
+        return build
+
+    def test_fcfs_zero_demand_successor_forces_the_hop(self):
+        # a's completion at t=1 starts b, whose completion is due at t=1
+        # too; b's completion then finds a's resume event still pending.
+        build = self._jobs(FCFSServer, [(0.0, 1.0, "a"), (0.0, 0.0, "b")])
+        hop, fast = run_both(build)
+        assert fast.log == [("a", 1.0), ("b", 1.0)]
+        assert (fast.in_place, fast.refused) == (0, 2)
+
+    def test_two_server_fcfs_simultaneous_finishes(self):
+        build = self._jobs(
+            lambda sim: FCFSServer(sim, servers=2),
+            [(0.0, 2.0, "a"), (0.0, 2.0, "b"), (0.0, 1.0, "c")],
+        )
+        hop, fast = run_both(build)
+        assert fast.log == [("a", 2.0), ("b", 2.0), ("c", 3.0)]
+        assert (fast.in_place, fast.refused) == (1, 2)
+
+    def test_ps_equal_finishes_force_the_hop(self):
+        # Both finish at t=4: the first completion reschedules the second
+        # at delay 0, so its resume must hop behind it, and the second's
+        # resume behind the first's.
+        build = self._jobs(PSServer, [(0.0, 2.0, "a"), (0.0, 2.0, "b")])
+        hop, fast = run_both(build)
+        assert fast.log == [("a", 4.0), ("b", 4.0)]
+        assert (fast.in_place, fast.refused) == (0, 2)
+
+    def test_delay_station_resumes_in_place(self):
+        build = self._jobs(DelayStation, [(0.0, 3.0, "a"), (1.0, 3.0, "b")])
+        hop, fast = run_both(build)
+        assert fast.log == [("a", 3.0), ("b", 4.0)]
+        assert (fast.in_place, fast.refused) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "priority, expected",
+        [
+            (-1, [("abort", 2, 3.0)]),  # nobody completes
+            # a completes first; its resume event queues behind the abort.
+            (0, [("abort", 1, 3.0), ("a", 3.0)]),
+            # a's resume (priority 0) runs before the abort (priority 1).
+            (1, [("a", 3.0), ("abort", 1, 3.0)]),
+        ],
+    )
+    def test_ps_abort_all_at_the_completion_instant(self, priority, expected):
+        # a (1.5) and b (9.0) share the CPU: a finishes at t=3.0, exactly
+        # when the station is aborted.
+        def scenario(sim, log):
+            cpu = PSServer(sim)
+            read_out = self._jobs(
+                lambda _sim: cpu, [(0.0, 1.5, "a"), (0.0, 9.0, "b")]
+            )(sim, log)
+
+            def abort():
+                log.append(("abort", cpu.abort_all(), sim.now))
+
+            sim.schedule(0.0, lambda: sim.schedule(3.0, abort, priority=priority))
+            return read_out
+
+        hop, fast = run_both(scenario)
+        assert fast.log == expected
+        assert fast.in_place == 0
+
+
+STATION_KINDS = ("hold", "fcfs1", "fcfs2", "ps", "delay")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(STATION_KINDS), st.integers(min_value=0, max_value=3)
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_in_place_and_hop_runs_are_indistinguishable(processes):
+    """Integer demands force ties at every station kind; the traced run
+    (always hops) and the untraced run (in place where provable) agree on
+    completion order, monitor integrals, events fired and the final seq."""
+
+    def build(sim, log):
+        stations = {
+            "fcfs1": FCFSServer(sim, name="fcfs1"),
+            "fcfs2": FCFSServer(sim, name="fcfs2", servers=2),
+            "ps": PSServer(sim, name="ps"),
+            "delay": DelayStation(sim, name="delay"),
+        }
+
+        def process(index, start, steps):
+            if start:
+                yield Hold(float(start))
+            for number, (kind, demand) in enumerate(steps):
+                if kind == "hold":
+                    yield Hold(float(demand))
+                else:
+                    yield stations[kind].service(float(demand))
+                log.append((index, number, sim.now))
+
+        for index, (start, steps) in enumerate(processes):
+            sim.launch(process(index, start, steps))
+        return lambda: [
+            (
+                station.completions,
+                station.population.integral,
+                station.busy.integral,
+                station.waits.total,
+                station.responses.total,
+            )
+            for station in stations.values()
+        ]
+
+    hop, fast = run_both(build)
+    assert len(fast.log) == sum(len(steps) for _, steps in processes)
