@@ -40,6 +40,23 @@ class TestRecordedCases:
         assert outcome["timeline_sha256"] == recorded["timeline_sha256"]
 
 
+def test_manifest_lists_every_extension_case(manifest):
+    assert set(manifest["extensions"]) == {
+        case.name for case in corpus.EXTENSION_CASES
+    }
+
+
+@pytest.mark.parametrize(
+    "case", corpus.EXTENSION_CASES, ids=lambda case: case.name
+)
+def test_extension_case_replays_byte_identical(case, manifest):
+    recorded = manifest["extensions"][case.name]
+    outcome = corpus.run_extension_case(case)
+    assert outcome["results"] == corpus.load_recorded_results(case.name)
+    assert outcome["results_sha256"] == recorded["results_sha256"]
+    assert outcome["counters"] == recorded["counters"]
+
+
 def test_kernel_trace_stream_byte_identical(manifest):
     outcome = corpus.run_trace_case()
     assert outcome["trace_messages"] == manifest["trace"]["trace_messages"]

@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {corpus.MANIFEST_PATH}")
     for case in corpus.CASES:
         print(f"  {case.name}: {manifest['cases'][case.name]['results_sha256'][:16]}…")
+    for extension in corpus.EXTENSION_CASES:
+        digest = manifest["extensions"][extension.name]["results_sha256"]
+        print(f"  {extension.name}: {digest[:16]}…")
     print(f"  trace: {manifest['trace']['trace_sha256'][:16]}…")
     print(f"  jobs batch: {manifest['jobs']['results_sha256'][:16]}…")
     return 0
