@@ -9,7 +9,7 @@ the same stale "least-loaded" victim (eventually worse than LOCAL).
 """
 
 from repro.experiments.common import AveragedResults
-from repro.extensions import StaleInfoDatabase
+from repro.extensions import StaleLoadInfo
 from repro.model.config import paper_defaults
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -23,11 +23,11 @@ def _run(settings):
     local = DistributedDatabase(config, make_policy("LOCAL"), seed=settings.seed_for(0))
     waits["LOCAL"] = local.run(settings.warmup, settings.duration).mean_waiting_time
     for interval in INTERVALS:
-        system = StaleInfoDatabase(
+        system = DistributedDatabase(
             config,
             make_policy("LERT"),
             seed=settings.seed_for(0),
-            refresh_interval=interval,
+            extensions=(StaleLoadInfo(refresh_interval=interval),),
         )
         result = system.run(settings.warmup, settings.duration)
         waits[interval] = result.mean_waiting_time

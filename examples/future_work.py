@@ -1,6 +1,7 @@
 """The paper's future-work directions, running.
 
-Four extensions built on the same model:
+Four extensions built on the same model, each a mechanism passed to
+``DistributedDatabase(..., extensions=(...))``:
 
 1. **Stale load information** — the paper assumes free, always-current load
    state; here information refreshes periodically, and the example shows
@@ -20,11 +21,11 @@ Run:  python examples/future_work.py
 
 from repro import DistributedDatabase, make_policy, paper_defaults
 from repro.extensions import (
-    MigratingDatabase,
-    PartialReplicationDatabase,
+    Migration,
+    PartialReplication,
     ReplicationMap,
-    StaleInfoDatabase,
-    SubqueryDatabase,
+    StaleLoadInfo,
+    Subqueries,
 )
 
 WARMUP = 1500.0
@@ -42,8 +43,11 @@ def main() -> None:
 
     print("1) Load-information staleness (refresh interval sweep):")
     for interval in (5.0, 25.0, 100.0, 400.0):
-        system = StaleInfoDatabase(
-            config, make_policy("LERT"), seed=SEED, refresh_interval=interval
+        system = DistributedDatabase(
+            config,
+            make_policy("LERT"),
+            seed=SEED,
+            extensions=(StaleLoadInfo(refresh_interval=interval),),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(f"   refresh {interval:6.1f}: W={result.mean_waiting_time:6.2f}")
@@ -51,13 +55,14 @@ def main() -> None:
 
     print("2) Query migration between read cycles:")
     for threshold in (1.25, 1.5, 2.0):
-        system = MigratingDatabase(
-            config, make_policy("LERT"), seed=SEED, threshold=threshold
+        migration = Migration(threshold=threshold)
+        system = DistributedDatabase(
+            config, make_policy("LERT"), seed=SEED, extensions=(migration,)
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
             f"   threshold {threshold:.2f}: W={result.mean_waiting_time:6.2f} "
-            f"({system.total_migrations} migrations)"
+            f"({migration.total_migrations} migrations)"
         )
     print()
 
@@ -66,8 +71,11 @@ def main() -> None:
         replication = ReplicationMap.round_robin_k(
             config.num_sites, num_items=24, copies=copies
         )
-        system = PartialReplicationDatabase(
-            config, make_policy("LERT"), replication, seed=SEED
+        system = DistributedDatabase(
+            config,
+            make_policy("LERT"),
+            seed=SEED,
+            extensions=(PartialReplication(replication),),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
@@ -87,19 +95,18 @@ def main() -> None:
         config.num_sites, num_items=24, copies=3
     )
     for name in ("LOCAL", "LERT"):
-        system = SubqueryDatabase(
+        subqueries = Subqueries(multi_prob=0.5, subquery_count=3)
+        system = DistributedDatabase(
             config,
             make_policy(name),
-            replication,
             seed=SEED,
-            multi_prob=0.5,
-            subquery_count=3,
+            extensions=(PartialReplication(replication), subqueries),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
             f"   {name:6s}: W={result.mean_waiting_time:6.2f} "
-            f"({system.distributed_queries} distributed queries, "
-            f"{system.data_moves} data moves)"
+            f"({subqueries.distributed_queries} distributed queries, "
+            f"{subqueries.data_moves} data moves)"
         )
 
 

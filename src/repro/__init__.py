@@ -35,8 +35,9 @@ Subpackages:
 * :mod:`repro.policies` — the allocation policies.
 * :mod:`repro.analysis` — the §3 optimal-allocation study (WIF/FIF).
 * :mod:`repro.experiments` — table-regeneration harness.
-* :mod:`repro.extensions` — future-work features (stale load info,
-  query migration, partial replication).
+* :mod:`repro.extensions` — future-work features as composable
+  mechanisms (stale load info, query migration, partial replication,
+  subquery pipelines, updates, heterogeneous CPU speeds).
 * :mod:`repro.telemetry` — typed event bus, metrics registry, timeline
   sampler, exporters, query-lifecycle tracing, and the allocation
   decision audit (see ``docs/telemetry.md``).
@@ -137,7 +138,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 
 def __getattr__(name: str) -> Any:

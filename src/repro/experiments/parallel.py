@@ -40,13 +40,25 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runconfig import RunSettings
+from repro.extensions.heterogeneous import HeterogeneousCPU
+from repro.extensions.stale_info import StaleLoadInfo
+from repro.extensions.updates import Updates
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
+from repro.model.mechanism import Mechanism
 from repro.model.metrics import SystemResults
 from repro.workloads.spec import WorkloadSpec, normalize_workload
 
-#: Registered simulation-system kinds (see :func:`system_class`).
-SYSTEM_KINDS = ("standard", "stale", "updates", "heterogeneous")
+#: Serialized extension kinds: name -> mechanism factory, called with the
+#: task's ``system_kwargs`` (the way policy names map to policies).
+EXTENSION_KINDS: Dict[str, Callable[..., Mechanism]] = {
+    "stale": StaleLoadInfo,
+    "updates": Updates,
+    "heterogeneous": HeterogeneousCPU,
+}
+
+#: Every valid ``system_kind``: the paper's model plus one extension.
+SYSTEM_KINDS = ("standard",) + tuple(EXTENSION_KINDS)
 
 
 @dataclass(frozen=True)
@@ -97,25 +109,20 @@ def progress_reporting(callback: ProgressCallback) -> Iterator[None]:
 class ReplicationTask:
     """Picklable description of one simulation run.
 
-    ``system_kind`` selects the system class ("standard" is
-    :class:`~repro.model.system.DistributedDatabase`; the extension kinds
-    map to the classes in :mod:`repro.extensions`), and ``system_kwargs``
-    carries its extra constructor arguments as a sorted tuple of
-    ``(name, value)`` pairs so the task stays hashable and its cache key
-    stays canonical.
+    ``system_kind`` is "standard" (the paper's model) or one of
+    :data:`EXTENSION_KINDS`, whose mechanism is built from
+    ``system_kwargs``: a sorted tuple of ``(name, value)`` pairs, so the
+    task stays hashable and its cache key stays canonical.
 
     ``faults`` optionally installs a fault plan for the run.  A no-op
     plan is normalized to ``None`` at construction (same run, same cache
     key), and non-``None`` plans are folded into :meth:`key`, so a
     faulted task can never be answered from a faultless cache entry.
-    Fault plans are only supported on the "standard" system kind (the
-    extension life cycles do not implement degraded mode).
 
     ``workload`` optionally drives the run with an open workload spec.
     The default closed spec is normalized to ``None`` at construction
     (same run, same cache key), and non-``None`` specs are folded into
-    :meth:`key`.  Like fault plans, open workloads are only supported on
-    the "standard" system kind.
+    :meth:`key`.  Both compose with every system kind.
     """
 
     config: SystemConfig
@@ -136,19 +143,23 @@ class ReplicationTask:
             )
         ordered = tuple(sorted(self.system_kwargs))
         object.__setattr__(self, "system_kwargs", ordered)
+        self.extensions()  # fail early on bad mechanism arguments
         if self.faults is not None and self.faults.is_noop:
             object.__setattr__(self, "faults", None)
-        if self.faults is not None and self.system_kind != "standard":
-            raise ValueError(
-                "fault plans require the 'standard' system kind; "
-                f"got {self.system_kind!r}"
-            )
         object.__setattr__(self, "workload", normalize_workload(self.workload))
-        if self.workload is not None and self.system_kind != "standard":
+
+    def extensions(self) -> Tuple[Mechanism, ...]:
+        """Fresh extension mechanisms for one run of this task."""
+        if self.system_kind == "standard":
+            if self.system_kwargs:
+                raise ValueError("system_kwargs need an extension system kind")
+            return ()
+        try:
+            return (EXTENSION_KINDS[self.system_kind](**dict(self.system_kwargs)),)
+        except TypeError as exc:
             raise ValueError(
-                "open workloads require the 'standard' system kind; "
-                f"got {self.system_kind!r}"
-            )
+                f"bad system_kwargs for kind {self.system_kind!r}: {exc}"
+            ) from None
 
     def key(self) -> str:
         """Content address of this task (see :func:`cache_key`)."""
@@ -194,38 +205,6 @@ def replication_tasks(
     ]
 
 
-def system_class(kind: str):
-    """The system class for a task kind (imported lazily per worker)."""
-    if kind == "standard":
-        from repro.model.system import DistributedDatabase
-
-        return DistributedDatabase
-    if kind == "stale":
-        from repro.extensions.stale_info import StaleInfoDatabase
-
-        return StaleInfoDatabase
-    if kind == "updates":
-        from repro.extensions.updates import UpdateWorkloadDatabase
-
-        return UpdateWorkloadDatabase
-    if kind == "heterogeneous":
-        from repro.extensions.heterogeneous import HeterogeneousDatabase
-
-        return HeterogeneousDatabase
-    raise KeyError(f"unknown system kind {kind!r}")
-
-
-def _make_policy(name: str):
-    """Policy lookup, extended with the heterogeneity-aware LERT variant."""
-    if name == "LERT-HET":
-        from repro.extensions.heterogeneous import HeterogeneousLERTPolicy
-
-        return HeterogeneousLERTPolicy()
-    from repro.policies.registry import make_policy
-
-    return make_policy(name)
-
-
 def run_task(task: ReplicationTask) -> SystemResults:
     """Execute one task to completion (the process-pool worker function).
 
@@ -238,17 +217,17 @@ def run_task(task: ReplicationTask) -> SystemResults:
     # never pay for it, and to keep the module import graph acyclic.
     from repro.runner import RunSpec, execute
 
-    cls = system_class(task.system_kind)
-    kwargs = dict(task.system_kwargs)
-    if task.workload is not None:
-        # Workloads bind at construction (arrival processes start at
-        # time 0), unlike fault plans which execute() installs.
-        kwargs["workload"] = task.workload
-    system = cls(
+    from repro.model.system import DistributedDatabase
+    from repro.policies.registry import make_policy
+
+    # Workloads bind at construction (arrival processes start at time
+    # 0), unlike fault plans which execute() installs.
+    system = DistributedDatabase(
         task.config,
-        _make_policy(task.policy),
+        make_policy(task.policy),
         seed=task.seed,
-        **kwargs,
+        workload=task.workload,
+        extensions=task.extensions(),
     )
     spec = RunSpec(
         warmup=task.warmup,
@@ -395,6 +374,7 @@ def simulate_many(
 
 
 __all__ = [
+    "EXTENSION_KINDS",
     "SYSTEM_KINDS",
     "ProgressCallback",
     "ReplicationTask",
@@ -405,5 +385,4 @@ __all__ = [
     "run_task",
     "run_tasks",
     "simulate_many",
-    "system_class",
 ]

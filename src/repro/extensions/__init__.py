@@ -1,38 +1,36 @@
 """Extensions: the paper's §6.2 future work plus deferred design questions.
 
-* :class:`StaleInfoDatabase` — periodic load-information broadcast instead
+Each is a :class:`~repro.model.mechanism.Mechanism` passed to
+``DistributedDatabase(..., extensions=(...))``; any set of them combines
+with the others, with a fault plan and with an open workload.
+
+* :class:`StaleLoadInfo` — periodic load-information broadcast instead
   of the paper's free always-current oracle.
-* :class:`MigratingDatabase` — query migration between read cycles.
-* :class:`PartialReplicationDatabase` / :class:`ReplicationMap` —
-  allocation restricted to sites holding a copy of the query's data.
-* :class:`UpdateWorkloadDatabase` — update transactions with replica
-  propagation (the paper's read-only footnote, made concrete).
-* :class:`HeterogeneousDatabase` / :class:`HeterogeneousLERTPolicy` —
-  unequal CPU speeds across sites and a speed-aware LERT.
-* :class:`SubqueryDatabase` — distributed queries as dynamically
-  allocated subquery pipelines with data moves (the paper's §6.2 goal).
+* :class:`Migration` — query migration between read cycles.
+* :class:`PartialReplication` / :class:`ReplicationMap` — allocation
+  restricted to sites holding a copy of the query's data.
+* :class:`Updates` — update transactions with replica propagation (the
+  paper's read-only footnote, made concrete).
+* :class:`HeterogeneousCPU` / :class:`HeterogeneousLERTPolicy` — unequal
+  CPU speeds across sites and a speed-aware LERT (policy ``"LERT-HET"``).
+* :class:`Subqueries` — distributed queries as dynamically allocated
+  subquery pipelines with data moves (the paper's §6.2 goal).
 """
 
-from repro.extensions.heterogeneous import (
-    HeterogeneousDatabase,
-    HeterogeneousLERTPolicy,
-)
-from repro.extensions.migration import MigratingDatabase
-from repro.extensions.partial_replication import (
-    PartialReplicationDatabase,
-    ReplicationMap,
-)
-from repro.extensions.stale_info import StaleInfoDatabase
-from repro.extensions.subqueries import SubqueryDatabase
-from repro.extensions.updates import UpdateWorkloadDatabase
+from repro.extensions.heterogeneous import HeterogeneousCPU, HeterogeneousLERTPolicy
+from repro.extensions.migration import Migration
+from repro.extensions.partial_replication import PartialReplication, ReplicationMap
+from repro.extensions.stale_info import StaleLoadInfo
+from repro.extensions.subqueries import Subqueries
+from repro.extensions.updates import Updates
 
 __all__ = [
-    "StaleInfoDatabase",
-    "MigratingDatabase",
-    "PartialReplicationDatabase",
+    "StaleLoadInfo",
+    "Migration",
+    "PartialReplication",
     "ReplicationMap",
-    "SubqueryDatabase",
-    "UpdateWorkloadDatabase",
-    "HeterogeneousDatabase",
+    "Subqueries",
+    "Updates",
+    "HeterogeneousCPU",
     "HeterogeneousLERTPolicy",
 ]

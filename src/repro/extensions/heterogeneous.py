@@ -18,115 +18,42 @@ What to expect (and what the heterogeneity experiment shows):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.model.config import SystemConfig
+from repro.model.mechanism import Mechanism
 from repro.model.query import Query
 from repro.model.system import DistributedDatabase
-from repro.policies.base import AllocationPolicy
 from repro.policies.lert import LERTPolicy
 
 
-class HeterogeneousDatabase(DistributedDatabase):
-    """A system whose sites have unequal CPU speeds.
+class HeterogeneousCPU(Mechanism):
+    """Sites with unequal CPU speeds.
 
     CPU bursts drawn from the workload are divided by the executing site's
     speed factor; disk hardware stays identical (mixing disk generations is
-    left as data, not code: pass a slower ``disk_time`` instead).
+    left as data, not code: pass a slower ``disk_time`` instead).  Plain
+    paper policies work but are blind to speed; see
+    :class:`HeterogeneousLERTPolicy`.
 
     Args:
-        config: Model parameters.
-        policy: Allocation policy.  Plain paper policies work but are blind
-            to speed; see :class:`HeterogeneousLERTPolicy`.
         cpu_speed_factors: One positive factor per site.
-        seed: Master seed.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        policy: AllocationPolicy,
-        cpu_speed_factors: Sequence[float],
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, cpu_speed_factors: Sequence[float]) -> None:
         factors = tuple(float(f) for f in cpu_speed_factors)
-        if len(factors) != config.num_sites:
-            raise ValueError(
-                f"{len(factors)} speed factors for {config.num_sites} sites"
-            )
         if any(f <= 0 for f in factors):
             raise ValueError("speed factors must be > 0")
         self.cpu_speed_factors = factors
-        super().__init__(config, policy, seed=seed)
 
-    def execute_query(self, query: Query, query_rng):
-        # Reuse the base life cycle, but scale CPU bursts by the execution
-        # site's speed.  The base implementation draws bursts inline, so we
-        # interpose on the workload's cpu-burst draw for this query via a
-        # scaled wrapper around the generator.  Simplest correct approach:
-        # replicate the base loop with the speed factor applied.
-        from repro.model.ring import Message
-        from repro.sim.process import WaitFor
-
-        sim = self.sim
-        execution_site = self.policy.select(query, self.view_for(query.home_site))
-        if not 0 <= execution_site < self.config.num_sites:
+    def bind(self, system: DistributedDatabase) -> None:
+        factors = self.cpu_speed_factors
+        if len(factors) != system.config.num_sites:
             raise ValueError(
-                f"policy {self.policy.name} chose invalid site {execution_site}"
+                f"{len(factors)} speed factors for {system.config.num_sites} sites"
             )
-        query.allocated_at = sim.now
-        query.execution_site = execution_site
-        self.load_board.register(query, execution_site)
-
-        if execution_site != query.home_site:
-            yield WaitFor(
-                lambda resume: self.ring.send(
-                    Message(
-                        source=query.home_site,
-                        destination=execution_site,
-                        transfer_time=self._query_transfer_time(query),
-                        deliver=resume,
-                        kind="query",
-                        size_bytes=query.spec.query_size,
-                    )
-                )
-            )
-
-        site = self.sites[execution_site]
-        speed = self.cpu_speed_factors[execution_site]
-        query.started_at = sim.now
-        spec = query.spec
-        for _ in range(query.actual_reads):
-            disk_time = self.workload.disk_time(query_rng)
-            yield site.disk_service(disk_time, query_rng)
-            query.service_acquired += disk_time
-            cpu_time = query_rng.expovariate(1.0 / spec.page_cpu_time) / speed
-            yield site.cpu_service(cpu_time)
-            query.service_acquired += cpu_time
-        query.finished_at = sim.now
-
-        if execution_site != query.home_site:
-            result_bytes = int(
-                spec.result_fraction * query.actual_reads * self.config.network.page_size
-            )
-            yield WaitFor(
-                lambda resume: self.ring.send(
-                    Message(
-                        source=execution_site,
-                        destination=query.home_site,
-                        transfer_time=self._result_transfer_time(
-                            query, query.actual_reads
-                        ),
-                        deliver=resume,
-                        kind="result",
-                        size_bytes=result_bytes,
-                    )
-                )
-            )
-
-        query.completed_at = sim.now
-        self.load_board.deregister(query, execution_site)
-        self.metrics.record(query)
+        super().bind(system)
+        for site, speed in zip(system.sites, factors):
+            site.cpu_speed = speed
 
 
 class HeterogeneousLERTPolicy(LERTPolicy):
@@ -135,20 +62,32 @@ class HeterogeneousLERTPolicy(LERTPolicy):
     Figure 6's ``cpu_time`` and ``cpu_wait`` terms are divided by the
     candidate site's speed factor — the natural generalization when the
     optimizer's CPU estimates are expressed in baseline-CPU seconds.
-    Requires binding to a :class:`HeterogeneousDatabase`.
+    Requires a system with the :class:`HeterogeneousCPU` mechanism.
+    Registered as ``"LERT-HET"``.
     """
 
     name = "LERT-HET"
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._speeds: Optional[Sequence[float]] = None
+
+    def bind(self, system: DistributedDatabase) -> None:
+        super().bind(system)
+        mechanism = system.extension(HeterogeneousCPU)
+        if mechanism is not None:
+            self._speeds = mechanism.cpu_speed_factors
+
     def site_cost(self, query: Query, site: int) -> float:
         system = self.system
-        if not isinstance(system, HeterogeneousDatabase):
-            raise RuntimeError("LERT-HET requires a HeterogeneousDatabase")
+        if system is None or self._speeds is None:
+            raise RuntimeError("LERT-HET requires a system with HeterogeneousCPU")
         config = system.config
         site_spec = config.site
-        speed = system.cpu_speed_factors[site]
+        speed = self._speeds[site]
         cpu_time = query.estimated_cpu_demand / speed
         io_time = query.estimated_io_demand(site_spec.disk_time)
+        assert self._view is not None
         if site == self._view.arrival_site:
             net_time = 0.0
         else:
@@ -160,4 +99,4 @@ class HeterogeneousLERTPolicy(LERTPolicy):
         return cpu_time + cpu_wait + io_time + io_wait + net_time
 
 
-__all__ = ["HeterogeneousDatabase", "HeterogeneousLERTPolicy"]
+__all__ = ["HeterogeneousCPU", "HeterogeneousLERTPolicy"]

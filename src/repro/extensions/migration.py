@@ -10,7 +10,7 @@ This extension implements that idea conservatively:
 * every ``check_interval`` completed read cycles, a running query re-costs
   its remaining work at every candidate site using the bound policy's cost
   function (only cost-based policies can migrate — LOCAL/RANDOM have no
-  cost notion);
+  cost notion); under faults a down site is never a candidate;
 * the query moves only if the best remote cost times ``threshold`` is
   still below the local cost — hysteresis against thrashing;
 * moving transfers the query descriptor *plus the partial results
@@ -24,22 +24,20 @@ Waiting-time accounting is unchanged: transfer time counts as waiting.
 
 from __future__ import annotations
 
-from repro.model.config import SystemConfig
+from repro.model.mechanism import Mechanism
 from repro.model.query import Query
-from repro.model.ring import Message
 from repro.model.system import DistributedDatabase
-from repro.policies.base import AllocationPolicy, CostBasedPolicy
-from repro.sim.process import WaitFor
+from repro.policies.base import CostBasedPolicy
 
 
-class MigratingDatabase(DistributedDatabase):
-    """A system whose queries may migrate between read cycles.
+class Migration(Mechanism):
+    """Queries may migrate between read cycles.
+
+    Migration decisions reuse the bound policy's ``site_cost`` (through
+    :meth:`DistributedDatabase.redecide`); only cost-based policies
+    migrate.
 
     Args:
-        config: Model parameters.
-        policy: Allocation policy; migration decisions reuse its
-            ``site_cost`` when it is cost-based.
-        seed: Master seed.
         check_interval: Read cycles between migration checks.
         threshold: Required cost advantage factor (>1) before moving.
         max_migrations: Per-query cap on mid-execution moves.
@@ -47,9 +45,6 @@ class MigratingDatabase(DistributedDatabase):
 
     def __init__(
         self,
-        config: SystemConfig,
-        policy: AllocationPolicy,
-        seed: int = 0,
         check_interval: int = 5,
         threshold: float = 1.5,
         max_migrations: int = 2,
@@ -64,151 +59,27 @@ class MigratingDatabase(DistributedDatabase):
         self.threshold = threshold
         self.max_migrations = max_migrations
         self.total_migrations = 0
-        super().__init__(config, policy, seed=seed)
+        self._cost_based = False
 
-    # ------------------------------------------------------------------
-    # Migration decision
-    # ------------------------------------------------------------------
-    def _migration_target(self, query: Query, current_site: int, reads_left: int):
-        """Best site for the remaining work, or None to stay put."""
-        if not isinstance(self.policy, CostBasedPolicy):
-            return None
-        # Re-cost the remaining work: a lightweight clone whose optimizer
-        # estimate is the unfinished read count.
-        remainder = Query(
-            class_index=query.class_index,
-            spec=query.spec,
-            home_site=query.home_site,
-            estimated_reads=float(reads_left),
-            actual_reads=reads_left,
-            io_bound=query.io_bound,
-        )
-        # Re-costing happens from the query's *current* site: point the
-        # policy's active view there so arrival-aware cost functions (LERT,
-        # LERT-MVA) zero the network term for staying put.
-        self.policy._view = self.view_for(current_site)
-        local_cost = self.policy.site_cost(remainder, current_site)
-        best_site, best_cost = current_site, local_cost
-        for site in self.candidate_sites(remainder):
-            if site == current_site:
-                continue
-            cost = self.policy.site_cost(remainder, site)
-            if cost < best_cost:
-                best_site, best_cost = site, cost
-        if best_site == current_site:
-            return None
-        if best_cost * self.threshold >= local_cost:
-            return None
-        return best_site
+    def bind(self, system: DistributedDatabase) -> None:
+        super().bind(system)
+        self._cost_based = isinstance(system.policy, CostBasedPolicy)
+        system.migration = self
 
-    def _partial_result_bytes(self, query: Query, reads_done: int) -> int:
-        return int(
-            query.spec.result_fraction * reads_done * self.config.network.page_size
-        )
+    def segment(self, query: Query, left: int) -> int:
+        """Reads to run before the next check, of *left* in the operation."""
+        if self._cost_based and query.migrations < self.max_migrations:
+            return min(self.check_interval, left)
+        return left
 
-    def _migration_transfer_time(self, query: Query, reads_done: int) -> float:
-        network = self.config.network
-        if network.msg_length is not None:
-            return network.msg_length
-        payload = query.spec.query_size + self._partial_result_bytes(query, reads_done)
-        return payload * network.msg_time
-
-    # ------------------------------------------------------------------
-    # Overridden query life cycle
-    # ------------------------------------------------------------------
-    def execute_query(self, query: Query, query_rng):
-        sim = self.sim
-        execution_site = self.policy.select(query, self.view_for(query.home_site))
-        query.allocated_at = sim.now
-        query.execution_site = execution_site
-        self.load_board.register(query, execution_site)
-
-        if execution_site != query.home_site:
-            yield WaitFor(
-                lambda resume: self.ring.send(
-                    Message(
-                        source=query.home_site,
-                        destination=execution_site,
-                        transfer_time=self._query_transfer_time(query),
-                        deliver=resume,
-                        kind="query",
-                        size_bytes=query.spec.query_size,
-                    )
-                )
-            )
-
-        query.started_at = sim.now
-        spec = query.spec
-        reads_done = 0
-        since_check = 0
-        while reads_done < query.actual_reads:
-            site = self.sites[execution_site]
-            disk_time = self.workload.disk_time(query_rng)
-            yield site.disk_service(disk_time, query_rng)
-            query.service_acquired += disk_time
-            cpu_time = query_rng.expovariate(1.0 / spec.page_cpu_time)
-            yield site.cpu_service(cpu_time)
-            query.service_acquired += cpu_time
-            reads_done += 1
-            since_check += 1
-
-            if (
-                reads_done < query.actual_reads
-                and since_check >= self.check_interval
-                and query.migrations < self.max_migrations
-            ):
-                since_check = 0
-                target = self._migration_target(
-                    query, execution_site, query.actual_reads - reads_done
-                )
-                if target is not None:
-                    self.load_board.deregister(query, execution_site)
-                    self.load_board.register(query, target)
-                    transfer = self._migration_transfer_time(query, reads_done)
-                    source = execution_site
-                    yield WaitFor(
-                        lambda resume: self.ring.send(
-                            Message(
-                                source=source,
-                                destination=target,
-                                transfer_time=transfer,
-                                deliver=resume,
-                                kind="migration",
-                                size_bytes=self._partial_result_bytes(
-                                    query, reads_done
-                                ),
-                            )
-                        )
-                    )
-                    execution_site = target
-                    query.execution_site = target
-                    query.migrations += 1
-                    self.total_migrations += 1
-
-        query.finished_at = sim.now
-        if execution_site != query.home_site:
-            result_bytes = int(
-                spec.result_fraction * query.actual_reads * self.config.network.page_size
-            )
-            source = execution_site
-            yield WaitFor(
-                lambda resume: self.ring.send(
-                    Message(
-                        source=source,
-                        destination=query.home_site,
-                        transfer_time=self._result_transfer_time(
-                            query, query.actual_reads
-                        ),
-                        deliver=resume,
-                        kind="result",
-                        size_bytes=result_bytes,
-                    )
-                )
-            )
-
-        query.completed_at = sim.now
-        self.load_board.deregister(query, execution_site)
-        self.metrics.record(query)
+    def target(self, query: Query, site: int, left: int) -> int:
+        """Where the remaining *left* reads run after a check (*site* = stay)."""
+        assert self.system is not None
+        target = self.system.redecide(query, site, left, self.threshold)
+        if target != site:
+            query.migrations += 1
+            self.total_migrations += 1
+        return target
 
 
-__all__ = ["MigratingDatabase"]
+__all__ = ["Migration"]

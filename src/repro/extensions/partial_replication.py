@@ -18,10 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.model.config import SystemConfig
-from repro.model.query import Query
+from repro.model.mechanism import Mechanism
 from repro.model.system import DistributedDatabase
-from repro.policies.base import AllocationPolicy
 
 
 @dataclass(frozen=True)
@@ -107,27 +105,25 @@ class ReplicationMap:
         return cls(num_sites, placement)
 
 
-class PartialReplicationDatabase(DistributedDatabase):
-    """A system where queries may only run at sites holding their data.
+class PartialReplication(Mechanism):
+    """Queries may only run at sites holding their data.
 
     Each query draws its data item uniformly at random (from its private
     stream, so the item sequence is policy-independent); optionally a skew
-    can be supplied as per-item weights.
+    can be supplied as per-item weights.  The system's
+    ``candidate_sites`` — and so every policy's ``view.candidates`` —
+    then offers the item's holders only.
+
+    Args:
+        replication: The static placement of data items on sites.
+        item_weights: Optional access skew over data items.
     """
 
     def __init__(
         self,
-        config: SystemConfig,
-        policy: AllocationPolicy,
         replication: ReplicationMap,
-        seed: int = 0,
         item_weights: Optional[Sequence[float]] = None,
     ) -> None:
-        if replication.num_sites != config.num_sites:
-            raise ValueError(
-                f"replication map covers {replication.num_sites} sites, "
-                f"config has {config.num_sites}"
-            )
         if item_weights is not None:
             if len(item_weights) != replication.num_items:
                 raise ValueError("item_weights must match the number of items")
@@ -144,9 +140,18 @@ class PartialReplicationDatabase(DistributedDatabase):
         else:
             self._item_cdf = None
         self.replication = replication
-        super().__init__(config, policy, seed=seed)
 
-    def _draw_item(self, query_rng: random.Random) -> int:
+    def bind(self, system: DistributedDatabase) -> None:
+        if self.replication.num_sites != system.config.num_sites:
+            raise ValueError(
+                f"replication map covers {self.replication.num_sites} sites, "
+                f"config has {system.config.num_sites}"
+            )
+        super().bind(system)
+        system.placement = self
+
+    def draw_item(self, query_rng: random.Random) -> int:
+        """One data item, drawn from a query's private stream."""
         if self._item_cdf is None:
             return query_rng.randrange(self.replication.num_items)
         u = query_rng.random()
@@ -155,14 +160,5 @@ class PartialReplicationDatabase(DistributedDatabase):
                 return item
         return len(self._item_cdf) - 1
 
-    def candidate_sites(self, query: Query):
-        if query.data_item is None:
-            return range(self.config.num_sites)
-        return self.replication.holders(query.data_item)
 
-    def execute_query(self, query: Query, query_rng):
-        query.data_item = self._draw_item(query_rng)
-        yield from super().execute_query(query, query_rng)
-
-
-__all__ = ["ReplicationMap", "PartialReplicationDatabase"]
+__all__ = ["ReplicationMap", "PartialReplication"]

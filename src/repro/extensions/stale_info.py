@@ -18,23 +18,17 @@ With ``refresh_interval=0`` this degenerates to the paper's oracle.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.model.config import SystemConfig
-from repro.model.loadboard import FrozenLoadView, LoadView
+from repro.model.loadboard import FrozenLoadView
+from repro.model.mechanism import Mechanism
 from repro.model.ring import Message
 from repro.model.system import DistributedDatabase
-from repro.policies.base import AllocationPolicy
 from repro.sim.process import Hold
 
 
-class StaleInfoDatabase(DistributedDatabase):
-    """A system whose policies see periodically refreshed load snapshots.
+class StaleLoadInfo(Mechanism):
+    """Policies see periodically refreshed load snapshots.
 
     Args:
-        config: Model parameters.
-        policy: Allocation policy (reads the stale view transparently).
-        seed: Master seed.
         refresh_interval: Time between snapshot refreshes; 0 means
             always-current (the paper's assumption).
         broadcast_cost: Channel time per site charged to the token ring at
@@ -42,16 +36,10 @@ class StaleInfoDatabase(DistributedDatabase):
             status messages is negligible").
     """
 
-    _stale_view: Optional[FrozenLoadView] = None
+    #: The snapshot policies see (set once bound with a positive interval).
+    view: FrozenLoadView
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        policy: AllocationPolicy,
-        seed: int = 0,
-        refresh_interval: float = 50.0,
-        broadcast_cost: float = 0.0,
-    ) -> None:
+    def __init__(self, refresh_interval: float = 50.0, broadcast_cost: float = 0.0) -> None:
         if refresh_interval < 0:
             raise ValueError("refresh_interval must be >= 0")
         if broadcast_cost < 0:
@@ -59,41 +47,35 @@ class StaleInfoDatabase(DistributedDatabase):
         self.refresh_interval = refresh_interval
         self.broadcast_cost = broadcast_cost
         self.refreshes = 0
-        self._last_refresh = 0.0
-        super().__init__(config, policy, seed=seed)
-        if refresh_interval > 0:
-            self._stale_view = self.load_board.snapshot()
-            self._last_refresh = self.sim.now
-            self.sim.launch(self._refresher(), name="load-broadcaster")
+        #: When :attr:`view` was taken.
+        self.refreshed_at = 0.0
 
-    @property
-    def load_view(self) -> LoadView:
-        if self._stale_view is not None:
-            return self._stale_view
-        return self.load_board
+    def bind(self, system: DistributedDatabase) -> None:
+        super().bind(system)
+        if self.refresh_interval > 0:
+            self.view = system.load_board.snapshot()
+            self.refreshed_at = system.sim.now
+            system.load_info = self
 
-    def load_info_age(self) -> float:
-        """Time since the snapshot policies currently see was taken.
+    def on_start(self) -> None:
+        system = self.system
+        if system is not None and self.refresh_interval > 0:
+            system.sim.launch(self._refresher(system), name="load-broadcaster")
 
-        ``0.0`` when refreshing is disabled (the paper's oracle).
-        """
-        if self._stale_view is None:
-            return 0.0
-        return self.sim.now - self._last_refresh
-
-    def _refresher(self):
+    def _refresher(self, system: DistributedDatabase):
         """Periodic snapshot process (plus optional channel charges)."""
+        num_sites = system.config.num_sites
         while True:
             yield Hold(self.refresh_interval)
-            self._stale_view = self.load_board.snapshot()
-            self._last_refresh = self.sim.now
+            self.view = system.load_board.snapshot()
+            self.refreshed_at = system.sim.now
             self.refreshes += 1
-            if self.broadcast_cost > 0 and self.config.num_sites > 1:
-                for site in range(self.config.num_sites):
-                    self.ring.send(
+            if self.broadcast_cost > 0 and num_sites > 1:
+                for site in range(num_sites):
+                    system.ring.send(
                         Message(
                             source=site,
-                            destination=(site + 1) % self.config.num_sites,
+                            destination=(site + 1) % num_sites,
                             transfer_time=self.broadcast_cost,
                             deliver=lambda: None,
                             kind="control",
@@ -101,4 +83,4 @@ class StaleInfoDatabase(DistributedDatabase):
                     )
 
 
-__all__ = ["StaleInfoDatabase"]
+__all__ = ["StaleLoadInfo"]

@@ -27,21 +27,21 @@ ranking; the update-fraction experiment confirms exactly that.
 
 from __future__ import annotations
 
-from repro.model.config import SystemConfig
+import random
+
+from repro.model.mechanism import Mechanism
 from repro.model.query import Query
 from repro.model.ring import Message
-from repro.model.system import DistributedDatabase
-from repro.policies.base import AllocationPolicy
 
 
-class UpdateWorkloadDatabase(DistributedDatabase):
-    """A system whose workload mixes read-only queries and updates.
+class Updates(Mechanism):
+    """The workload mixes read-only queries and updates.
+
+    The allocation policy places the executing copy; the propagation is
+    policy-independent, per the paper's footnote.  Only queries that
+    complete propagate: an update lost to a fault plan never commits.
 
     Args:
-        config: Model parameters.
-        policy: Allocation policy (applies to the executing copy; the
-            propagation is policy-independent, per the paper's footnote).
-        seed: Master seed.
         update_prob: Probability that a query is an update.
         update_pages: Pages written per replica when an update is applied.
         apply_cpu_time: Mean CPU burst per applied page.
@@ -49,9 +49,6 @@ class UpdateWorkloadDatabase(DistributedDatabase):
 
     def __init__(
         self,
-        config: SystemConfig,
-        policy: AllocationPolicy,
-        seed: int = 0,
         update_prob: float = 0.2,
         update_pages: int = 4,
         apply_cpu_time: float = 0.05,
@@ -66,68 +63,63 @@ class UpdateWorkloadDatabase(DistributedDatabase):
         self.update_pages = update_pages
         self.apply_cpu_time = apply_cpu_time
         self.updates_executed = 0
+        self.applies_started = 0
         self.applies_completed = 0
-        self._applies_started = 0
-        super().__init__(config, policy, seed=seed)
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
     @property
     def pending_applies(self) -> int:
         """Apply tasks announced but not yet finished."""
-        return self._applies_started - self.applies_completed
+        return self.applies_started - self.applies_completed
 
-    # ------------------------------------------------------------------
-    # Propagation machinery
-    # ------------------------------------------------------------------
-    def _propagation_transfer_time(self) -> float:
-        network = self.config.network
+    def on_arrival(self, query: Query, rng: random.Random) -> None:
+        # One draw per query whatever update_prob is (0.0 included), so
+        # the rest of the query's stream does not depend on it.
+        query.update = rng.random() < self.update_prob
+
+    def on_commit(self, query: Query) -> None:
+        if not query.update:
+            return
+        self.updates_executed += 1
+        system = self.system
+        assert system is not None and query.execution_site is not None
+        source = query.execution_site
+        network = system.config.network
         if network.msg_length is not None:
-            return network.msg_length
-        return self.update_pages * network.page_size * network.msg_time
-
-    def _apply_process(self, site_index: int, update_id: int):
-        """Apply one update's write set at one replica."""
-        site = self.sites[site_index]
-        rng = self.sim.rng.stream(f"apply.s{site_index}.u{update_id}")
-        for _ in range(self.update_pages):
-            yield site.disk_service(self.workload.disk_time(rng), rng)
-            yield site.cpu_service(rng.expovariate(1.0 / self.apply_cpu_time))
-        self.applies_completed += 1
-
-    def _propagate(self, query: Query, execution_site: int) -> None:
-        for site_index in range(self.config.num_sites):
-            if site_index == execution_site:
+            transfer_time = network.msg_length
+        else:
+            transfer_time = self.update_pages * network.page_size * network.msg_time
+        for site_index in range(system.config.num_sites):
+            if site_index == source:
                 continue
-            self._applies_started += 1
+            self.applies_started += 1
 
-            def start_apply(site_index=site_index, update_id=query.qid):
-                self.sim.launch(
+            def start_apply(site_index: int = site_index, update_id: int = query.qid) -> None:
+                system.sim.launch(
                     self._apply_process(site_index, update_id),
                     name=f"apply.u{update_id}.s{site_index}",
                 )
 
-            self.ring.send(
+            system.ring.send(
                 Message(
-                    source=execution_site,
+                    source=source,
                     destination=site_index,
-                    transfer_time=self._propagation_transfer_time(),
+                    transfer_time=transfer_time,
                     deliver=start_apply,
                     kind="update",
-                    size_bytes=self.update_pages * self.config.network.page_size,
+                    size_bytes=self.update_pages * network.page_size,
                 )
             )
 
-    # ------------------------------------------------------------------
-    # Overridden life cycle
-    # ------------------------------------------------------------------
-    def execute_query(self, query: Query, query_rng):
-        is_update = query_rng.random() < self.update_prob
-        yield from super().execute_query(query, query_rng)
-        if is_update:
-            self.updates_executed += 1
-            self._propagate(query, query.execution_site)
+    def _apply_process(self, site_index: int, update_id: int):
+        """Apply one update's write set at one replica."""
+        system = self.system
+        assert system is not None
+        site = system.sites[site_index]
+        rng = system.sim.rng.stream(f"apply.s{site_index}.u{update_id}")
+        for _ in range(self.update_pages):
+            yield site.disk_service(system.workload.disk_time(rng), rng)
+            yield site.cpu_service(rng.expovariate(1.0 / self.apply_cpu_time))
+        self.applies_completed += 1
 
 
-__all__ = ["UpdateWorkloadDatabase"]
+__all__ = ["Updates"]

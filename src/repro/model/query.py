@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.model.config import QueryClassSpec, SystemConfig
 
@@ -68,6 +68,14 @@ class Query:
     #: Times the query moved between sites mid-execution (migration
     #: extension); always 0 in the base model.
     migrations: int = 0
+
+    #: Whether the query writes (updates extension): its commit
+    #: propagates the write set to every other replica.
+    update: bool = False
+
+    #: ``(reads, data item)`` per pipeline stage (subquery extension);
+    #: ``None`` for a query that is one operation.
+    stages: Optional[Tuple[Tuple[int, Optional[int]], ...]] = None
 
     #: How many fault events the query was exposed to (site crashes that
     #: aborted it plus subnet messages lost under it); always 0 when no

@@ -38,6 +38,9 @@ class DBSite:
         self.sim = sim
         self.config = config
         self.index = index
+        #: CPU speed factor: bursts are divided by it (1.0 = the paper's
+        #: homogeneous site; the HeterogeneousCPU mechanism sets others).
+        self.cpu_speed = 1.0
         self.cpu = PSServer(sim, name=f"site{index}.cpu")
         spec = config.site
         if config.disk_organization == DISK_SHARED:
@@ -75,17 +78,23 @@ class DBSite:
         query: "Query",
         workload: "WorkloadGenerator",
         rng: random.Random,
+        reads: int,
     ) -> Generator[ServiceRequest, None, None]:
-        """Run *query*'s disk/CPU cycles at this site (a generator).
+        """Run *reads* of *query*'s disk/CPU cycles at this site (a generator).
 
-        The paper's execution model: ``actual_reads`` alternating
-        disk-read / CPU-burst cycles, drawn from the query's private
-        random stream.  Sets ``query.started_at`` / ``query.finished_at``
-        and accumulates ``query.service_acquired``; yielded from the
-        query life cycle via ``yield from``.
+        The paper's execution model: alternating disk-read / CPU-burst
+        cycles, drawn from the query's private random stream, with each
+        burst divided by :attr:`cpu_speed` (exact for the default 1.0).
+        The life cycle runs a query's ``actual_reads`` in one call, or in
+        segments when it may move between them.  Sets
+        ``query.started_at`` on the first segment and
+        ``query.finished_at`` on every one, and accumulates
+        ``query.service_acquired``; yielded from the query life cycle via
+        ``yield from``.
         """
         sim = self.sim
-        query.started_at = sim.now
+        if query.started_at is None:
+            query.started_at = sim.now
         bus = sim.bus
         if bus.active and bus.wants(ServiceStarted):
             bus.emit(
@@ -93,15 +102,16 @@ class DBSite:
                     time=sim.now,
                     qid=query.qid,
                     site=self.index,
-                    reads=query.actual_reads,
+                    reads=reads,
                 )
             )
         spec = query.spec
-        for _ in range(query.actual_reads):
+        speed = self.cpu_speed
+        for _ in range(reads):
             disk_time = workload.disk_time(rng)
             yield self.disk_service(disk_time, rng)
             query.service_acquired += disk_time
-            cpu_time = rng.expovariate(1.0 / spec.page_cpu_time)
+            cpu_time = rng.expovariate(1.0 / spec.page_cpu_time) / speed
             yield self.cpu_service(cpu_time)
             query.service_acquired += cpu_time
         query.finished_at = sim.now

@@ -62,4 +62,14 @@ def _lert_mva() -> AllocationPolicy:
 register("LERT-MVA", _lert_mva)
 
 
+def _lert_het() -> AllocationPolicy:
+    from repro.extensions.heterogeneous import HeterogeneousLERTPolicy
+
+    return HeterogeneousLERTPolicy()
+
+
+# Speed-aware LERT; it needs a system with the HeterogeneousCPU mechanism.
+register("LERT-HET", _lert_het)
+
+
 __all__ = ["register", "make_policy", "available_policies"]

@@ -99,9 +99,7 @@ class TestExpansion:
         with pytest.raises(KeyError):
             expand(two_component_spec()).cell("policy:unknown")
 
-    def test_faults_on_extension_kind_error_names_the_cell(self):
-        from repro.faults.plan import FaultPlan, SiteOutage
-
+    def test_invalid_extension_kwargs_error_names_the_cell(self):
         spec = two_component_spec()
         bad = StudySpec(
             name=spec.name,
@@ -117,20 +115,15 @@ class TestExpansion:
                     description="",
                     variants=(
                         Variant(
-                            name="stale-faulted",
+                            name="stale-negative",
                             system_kind="stale",
-                            system_kwargs=(("refresh_interval", 5.0),),
-                            faults=FaultPlan(
-                                site_outages=(
-                                    SiteOutage(site=0, at=60.0, duration=10.0),
-                                )
-                            ),
+                            system_kwargs=(("refresh_interval", -5.0),),
                         ),
                     ),
                 ),
             ),
         )
-        with pytest.raises(ValueError, match="stale-faulted"):
+        with pytest.raises(ValueError, match="stale-negative"):
             expand(bad)
 
 

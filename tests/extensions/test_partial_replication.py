@@ -1,12 +1,20 @@
-"""Unit tests for the partial-replication extension."""
+"""Unit tests for the partial-replication mechanism."""
 
 import pytest
 
-from repro.extensions.partial_replication import (
-    PartialReplicationDatabase,
-    ReplicationMap,
-)
+from repro.extensions.partial_replication import PartialReplication, ReplicationMap
+from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
+
+
+def _system(config, policy, replication, seed=0, item_weights=None):
+    """A system with one :class:`PartialReplication` mechanism."""
+    return DistributedDatabase(
+        config,
+        policy,
+        seed=seed,
+        extensions=(PartialReplication(replication, item_weights=item_weights),),
+    )
 
 
 class TestReplicationMap:
@@ -54,7 +62,7 @@ class TestPartialReplicationDatabase:
     def test_rejects_mismatched_map(self, tiny_config):
         replication = ReplicationMap.full(5)
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _system(
                 tiny_config, make_policy("LERT"), replication
             )
 
@@ -62,7 +70,7 @@ class TestPartialReplicationDatabase:
         replication = ReplicationMap.round_robin_k(
             tiny_config.num_sites, num_items=6, copies=2
         )
-        system = PartialReplicationDatabase(
+        system = _system(
             tiny_config, make_policy("LERT"), replication, seed=1
         )
         violations = []
@@ -83,7 +91,7 @@ class TestPartialReplicationDatabase:
             tiny_config.num_sites, num_items=6, copies=1
         )
         for name in ("LOCAL", "RANDOM", "BNQ", "LERT"):
-            system = PartialReplicationDatabase(
+            system = _system(
                 tiny_config, make_policy(name), replication, seed=2
             )
             results = system.run(warmup=100.0, duration=500.0)
@@ -94,7 +102,7 @@ class TestPartialReplicationDatabase:
             tiny_config.num_sites,
             tuple((1,) for _ in range(4)),  # everything lives on site 1
         )
-        system = PartialReplicationDatabase(
+        system = _system(
             tiny_config, make_policy("LERT"), replication, seed=3
         )
         seen_sites = set()
@@ -110,7 +118,7 @@ class TestPartialReplicationDatabase:
 
     def test_item_weights_skew_access(self, tiny_config):
         replication = ReplicationMap.full(tiny_config.num_sites, num_items=2)
-        system = PartialReplicationDatabase(
+        system = _system(
             tiny_config,
             make_policy("LOCAL"),
             replication,
@@ -133,14 +141,14 @@ class TestPartialReplicationDatabase:
     def test_invalid_item_weights(self, tiny_config):
         replication = ReplicationMap.full(tiny_config.num_sites, num_items=2)
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _system(
                 tiny_config,
                 make_policy("LOCAL"),
                 replication,
                 item_weights=(1.0,),
             )
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _system(
                 tiny_config,
                 make_policy("LOCAL"),
                 replication,
@@ -154,7 +162,7 @@ class TestPartialReplicationDatabase:
             replication = ReplicationMap.round_robin_k(
                 tiny_config.num_sites, num_items=6, copies=copies
             )
-            system = PartialReplicationDatabase(
+            system = _system(
                 tiny_config, make_policy("LERT"), replication, seed=5
             )
             waits[copies] = system.run(300.0, 2000.0).mean_waiting_time

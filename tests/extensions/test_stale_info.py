@@ -1,64 +1,69 @@
-"""Unit tests for the stale load-information extension."""
+"""Unit tests for the stale load-information mechanism."""
 
 import pytest
 
-from repro.extensions.stale_info import StaleInfoDatabase
+from repro.extensions.stale_info import StaleLoadInfo
 from repro.model.loadboard import FrozenLoadView
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
 
+def _system(config, policy, seed=0, **kwargs):
+    return DistributedDatabase(
+        config, make_policy(policy), seed=seed, extensions=(StaleLoadInfo(**kwargs),)
+    )
+
+
 class TestConstruction:
     def test_zero_interval_uses_live_board(self, tiny_config):
-        system = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=1, refresh_interval=0.0
-        )
+        system = _system(tiny_config, "LERT", seed=1, refresh_interval=0.0)
         assert system.load_view is system.load_board
 
     def test_positive_interval_uses_snapshot(self, tiny_config):
-        system = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=1, refresh_interval=10.0
-        )
+        system = _system(tiny_config, "LERT", seed=1, refresh_interval=10.0)
         assert isinstance(system.load_view, FrozenLoadView)
 
     def test_invalid_arguments(self, tiny_config):
         with pytest.raises(ValueError):
-            StaleInfoDatabase(
-                tiny_config, make_policy("LERT"), refresh_interval=-1.0
-            )
+            StaleLoadInfo(refresh_interval=-1.0)
         with pytest.raises(ValueError):
-            StaleInfoDatabase(
-                tiny_config, make_policy("LERT"), broadcast_cost=-1.0
+            StaleLoadInfo(broadcast_cost=-1.0)
+
+    def test_one_mechanism_per_kind(self, tiny_config):
+        with pytest.raises(ValueError, match="at most one"):
+            DistributedDatabase(
+                tiny_config,
+                make_policy("LERT"),
+                extensions=(StaleLoadInfo(), StaleLoadInfo()),
             )
+
+    def test_a_mechanism_binds_once(self, tiny_config):
+        stale = StaleLoadInfo()
+        DistributedDatabase(tiny_config, make_policy("LERT"), extensions=(stale,))
+        with pytest.raises(RuntimeError, match="already bound"):
+            DistributedDatabase(tiny_config, make_policy("LERT"), extensions=(stale,))
 
 
 class TestRefreshBehaviour:
     def test_refresh_count_matches_interval(self, tiny_config):
-        system = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=1, refresh_interval=100.0
+        stale = StaleLoadInfo(refresh_interval=100.0)
+        system = DistributedDatabase(
+            tiny_config, make_policy("LERT"), seed=1, extensions=(stale,)
         )
         system.run(warmup=0.0, duration=1000.0)
-        assert system.refreshes == 10
+        assert stale.refreshes == 10
 
     def test_view_is_replaced_on_refresh(self, tiny_config):
-        system = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=1, refresh_interval=50.0
-        )
+        system = _system(tiny_config, "LERT", seed=1, refresh_interval=50.0)
         before = system.load_view
         system.run(warmup=0.0, duration=120.0)
         assert system.load_view is not before
 
     def test_broadcast_charges_the_ring(self, tiny_config):
-        free = StaleInfoDatabase(
-            tiny_config, make_policy("LOCAL"), seed=1, refresh_interval=50.0
-        )
+        free = _system(tiny_config, "LOCAL", seed=1, refresh_interval=50.0)
         free.run(warmup=0.0, duration=500.0)
-        paid = StaleInfoDatabase(
-            tiny_config,
-            make_policy("LOCAL"),
-            seed=1,
-            refresh_interval=50.0,
-            broadcast_cost=0.5,
+        paid = _system(
+            tiny_config, "LOCAL", seed=1, refresh_interval=50.0, broadcast_cost=0.5
         )
         paid.run(warmup=0.0, duration=500.0)
         # LOCAL sends no queries; all traffic is control messages.
@@ -66,21 +71,15 @@ class TestRefreshBehaviour:
         assert paid.ring.messages_delivered > 0
 
     def test_fresh_beats_very_stale(self, tiny_config):
-        fresh = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=2, refresh_interval=0.0
-        )
+        fresh = _system(tiny_config, "LERT", seed=2, refresh_interval=0.0)
         w_fresh = fresh.run(warmup=300.0, duration=1500.0).mean_waiting_time
-        stale = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=2, refresh_interval=500.0
-        )
+        stale = _system(tiny_config, "LERT", seed=2, refresh_interval=500.0)
         w_stale = stale.run(warmup=300.0, duration=1500.0).mean_waiting_time
         assert w_fresh < w_stale
 
     def test_zero_interval_matches_base_system(self, tiny_config):
         base = DistributedDatabase(tiny_config, make_policy("LERT"), seed=3)
-        oracle = StaleInfoDatabase(
-            tiny_config, make_policy("LERT"), seed=3, refresh_interval=0.0
-        )
+        oracle = _system(tiny_config, "LERT", seed=3, refresh_interval=0.0)
         rb = base.run(warmup=100.0, duration=500.0)
         ro = oracle.run(warmup=100.0, duration=500.0)
         assert rb.mean_waiting_time == ro.mean_waiting_time

@@ -1,9 +1,10 @@
-"""Unit tests for the subquery-pipeline extension."""
+"""Unit tests for the subquery-pipeline mechanism."""
 
 import pytest
 
-from repro.extensions.partial_replication import ReplicationMap
-from repro.extensions.subqueries import SubqueryDatabase
+from repro.extensions.partial_replication import PartialReplication, ReplicationMap
+from repro.extensions.subqueries import Subqueries
+from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
 
@@ -11,56 +12,59 @@ def _replication(config, copies=2, items=8):
     return ReplicationMap.round_robin_k(config.num_sites, items, copies)
 
 
+def _system(config, policy, replication, seed=0, **kwargs):
+    subqueries = Subqueries(**kwargs)
+    system = DistributedDatabase(
+        config,
+        make_policy(policy),
+        seed=seed,
+        extensions=(PartialReplication(replication), subqueries),
+    )
+    return system, subqueries
+
+
 class TestConstruction:
     def test_invalid_arguments(self, tiny_config):
-        replication = _replication(tiny_config)
         with pytest.raises(ValueError):
-            SubqueryDatabase(
-                tiny_config, make_policy("LERT"), replication, multi_prob=1.5
-            )
+            Subqueries(multi_prob=1.5)
         with pytest.raises(ValueError):
-            SubqueryDatabase(
-                tiny_config, make_policy("LERT"), replication, subquery_count=1
-            )
+            Subqueries(subquery_count=1)
 
 
 class TestBehaviour:
     def test_zero_multi_prob_degenerates_to_partial_replication(self, tiny_config):
-        from repro.extensions.partial_replication import PartialReplicationDatabase
-
         replication = _replication(tiny_config)
-        plain = PartialReplicationDatabase(
-            tiny_config, make_policy("LERT"), replication, seed=1
+        plain = DistributedDatabase(
+            tiny_config,
+            make_policy("LERT"),
+            seed=1,
+            extensions=(PartialReplication(replication),),
         )
-        staged = SubqueryDatabase(
-            tiny_config, make_policy("LERT"), replication, seed=1, multi_prob=0.0
+        staged, subqueries = _system(
+            tiny_config, "LERT", replication, seed=1, multi_prob=0.0
         )
         rp = plain.run(200.0, 1200.0)
         rs = staged.run(200.0, 1200.0)
-        assert staged.distributed_queries == 0
-        assert staged.data_moves == 0
+        assert subqueries.distributed_queries == 0
+        assert subqueries.data_moves == 0
         # Same seed + no distributed queries: only the extra multi_prob
         # draw differs, which consumes one value from each query's private
         # stream — results stay in the same regime.
         assert rs.mean_waiting_time == pytest.approx(rp.mean_waiting_time, rel=0.5)
 
     def test_distributed_fraction_tracks_probability(self, tiny_config):
-        system = SubqueryDatabase(
-            tiny_config,
-            make_policy("LERT"),
-            _replication(tiny_config),
-            seed=2,
-            multi_prob=0.4,
+        system, subqueries = _system(
+            tiny_config, "LERT", _replication(tiny_config), seed=2, multi_prob=0.4
         )
         results = system.run(0.0, 3000.0)
-        fraction = system.distributed_queries / results.completions
+        fraction = subqueries.distributed_queries / results.completions
         assert fraction == pytest.approx(0.4, abs=0.06)
 
     def test_stages_run_only_at_holders(self, tiny_config):
         replication = _replication(tiny_config, copies=1)
-        system = SubqueryDatabase(
+        system, subqueries = _system(
             tiny_config,
-            make_policy("LERT"),
+            "LERT",
             replication,
             seed=3,
             multi_prob=1.0,
@@ -68,14 +72,25 @@ class TestBehaviour:
         )
         # With one copy per item, every stage's site is forced; the system
         # must still complete queries and count moves.
+        violations = []
+        for site in system.sites:
+            original_execute = site.execute
+
+            def checked(query, workload, rng, reads, site=site, run=original_execute):
+                if site.index not in replication.holders(query.data_item):
+                    violations.append(query.qid)
+                return run(query, workload, rng, reads)
+
+            site.execute = checked
         results = system.run(200.0, 1500.0)
         assert results.completions > 20
-        assert system.data_moves > 0
+        assert subqueries.data_moves > 0
+        assert violations == []
 
     def test_load_board_balanced_at_end(self, tiny_config):
-        system = SubqueryDatabase(
+        system, _ = _system(
             tiny_config,
-            make_policy("LERT"),
+            "LERT",
             _replication(tiny_config),
             seed=4,
             multi_prob=0.7,
@@ -92,23 +107,15 @@ class TestBehaviour:
         loaded = tiny_config.with_site(think_time=15.0)
         waits = {}
         for name in ("LOCAL", "LERT"):
-            system = SubqueryDatabase(
-                loaded,
-                make_policy(name),
-                _replication(loaded, copies=3),
-                seed=5,
-                multi_prob=0.5,
+            system, _ = _system(
+                loaded, name, _replication(loaded, copies=3), seed=5, multi_prob=0.5
             )
             waits[name] = system.run(300.0, 2500.0).mean_waiting_time
         assert waits["LERT"] < waits["LOCAL"]
 
     def test_works_with_non_cost_policies(self, tiny_config):
-        system = SubqueryDatabase(
-            tiny_config,
-            make_policy("RANDOM"),
-            _replication(tiny_config),
-            seed=6,
-            multi_prob=0.5,
+        system, _ = _system(
+            tiny_config, "RANDOM", _replication(tiny_config), seed=6, multi_prob=0.5
         )
         results = system.run(100.0, 800.0)
         assert results.completions > 10
@@ -116,14 +123,24 @@ class TestBehaviour:
     def test_more_stages_more_moves(self, tiny_config):
         moves = {}
         for count in (2, 4):
-            system = SubqueryDatabase(
+            system, subqueries = _system(
                 tiny_config,
-                make_policy("LERT"),
+                "LERT",
                 _replication(tiny_config),
                 seed=7,
                 multi_prob=1.0,
                 subquery_count=count,
             )
             system.run(100.0, 1200.0)
-            moves[count] = system.data_moves
+            moves[count] = subqueries.data_moves
         assert moves[4] > moves[2]
+
+    def test_pipelines_without_partial_replication(self, tiny_config):
+        # Over a fully replicated database every stage may run anywhere.
+        subqueries = Subqueries(multi_prob=1.0, subquery_count=3)
+        system = DistributedDatabase(
+            tiny_config, make_policy("LERT"), seed=8, extensions=(subqueries,)
+        )
+        results = system.run(100.0, 1000.0)
+        assert results.completions > 20
+        assert subqueries.distributed_queries > 0

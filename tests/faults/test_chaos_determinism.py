@@ -14,8 +14,6 @@ These tests pin the headline guarantee of the fault layer:
 
 import dataclasses
 
-import pytest
-
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.parallel import ReplicationTask, replication_tasks, run_tasks
 from repro.experiments.runconfig import RunSettings
@@ -159,17 +157,6 @@ class TestParallelReplay:
         parallel = run_tasks(tasks, jobs=2)
         assert serial == parallel
 
-    def test_faults_rejected_for_extension_kinds(self, tiny_config):
-        with pytest.raises(ValueError, match="standard"):
-            ReplicationTask(
-                config=tiny_config,
-                policy="BNQ",
-                seed=1,
-                warmup=10.0,
-                duration=20.0,
-                system_kind="stale",
-                faults=CHAOS,
-            )
 
 
 class TestCacheSeparation:

@@ -10,7 +10,8 @@ be checked.
 import dataclasses
 import math
 
-from repro.extensions.stale_info import StaleInfoDatabase
+from repro.extensions.stale_info import StaleLoadInfo
+from repro.model.system import DistributedDatabase
 from repro.model.config import paper_defaults
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
@@ -196,8 +197,11 @@ class TestRealRuns:
 
 class TestStaleness:
     def test_stale_views_surface_age_and_divergence(self):
-        system = StaleInfoDatabase(
-            paper_defaults(), make_policy("BNQRD"), seed=11, refresh_interval=50.0
+        system = DistributedDatabase(
+            paper_defaults(),
+            make_policy("BNQRD"),
+            seed=11,
+            extensions=(StaleLoadInfo(refresh_interval=50.0),),
         )
         audit = DecisionAudit(system.sim.bus)
         system.run(warmup=100.0, duration=500.0)
