@@ -299,7 +299,10 @@ class QueryShed(TelemetryEvent):
 
 @dataclass(frozen=True, slots=True)
 class AllocationDecided(TelemetryEvent):
-    """The full audit record of one ``AllocationPolicy.select`` call.
+    """The full audit record of one allocation decision.
+
+    One per ``AllocationPolicy.select`` call, or per first-stage decision
+    of a subquery pipeline (which bypasses ``select``).
 
     Opt-in like :class:`TraceMessage`: the system only constructs these
     when a subscriber asked for ``AllocationDecided`` specifically
