@@ -1,17 +1,16 @@
 """Content-addressed on-disk cache for simulation results.
 
-Every simulation cell in the experiment harness is a pure function of
-
-``(SystemConfig, policy name, seed, warmup, duration, system kind, kwargs)``
-
-so its :class:`~repro.model.metrics.SystemResults` can be cached on disk and
+Every simulation cell in the experiment harness is a pure function of its
+:class:`~repro.experiments.parallel.ReplicationTask` — config, policy name,
+seed, warmup, duration, system kind and kwargs, fault plan, workload — so
+its :class:`~repro.model.metrics.SystemResults` can be cached on disk and
 reused across runs, scales that share cells, processes, and (with a shared
-directory) machines.  The cache is *content addressed*: the key is a SHA-256
-hash over the canonical JSON serialization of all the run inputs, so any
-single-field change — a different think time, seed, warmup, policy, or
-extension parameter — produces a different key, and two configs that are
-equal as dataclasses always produce the same key regardless of how they were
-constructed.
+directory) machines.  The cache is *content addressed*: the key
+(:func:`task_key`) is a SHA-256 hash over the canonical JSON encoding of
+the task, so any single-field change — a different think time, seed,
+warmup, policy, or extension parameter — produces a different key, and two
+configs that are equal as dataclasses always produce the same key
+regardless of how they were constructed.
 
 Robustness properties:
 
@@ -45,19 +44,17 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple, Union
 
+from repro.codec import encode
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
-from repro.model.serialization import (
-    config_to_dict,
-    fault_plan_to_dict,
-    results_from_dict,
-    results_to_dict,
-    workload_spec_to_dict,
-)
+from repro.model.serialization import results_from_dict, results_to_dict
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (parallel imports this)
+    from repro.experiments.parallel import ReplicationTask
 
 #: Version of the cache-entry layout *and* the key derivation.  Bumping it
 #: invalidates every existing entry (old entries become misses).
@@ -88,6 +85,24 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def task_key(task: "ReplicationTask") -> str:
+    """Content address of one simulation run.
+
+    The SHA-256 hex digest of the canonical JSON of the task's encoding
+    (:func:`repro.codec.encode`) plus ``cache_version``.  Every field of
+    :class:`~repro.experiments.parallel.ReplicationTask` is in it, so any
+    input that changes the run changes the key.  ``faults`` and
+    ``workload`` are left out while ``None`` (the task normalizes no-op
+    plans and the closed default to ``None``), so faultless closed runs
+    keep the keys they always had; ``system_kwargs`` is written as an
+    object, as in every existing key.
+    """
+    payload = encode(task)
+    payload["system_kwargs"] = dict(task.system_kwargs)
+    payload["cache_version"] = CACHE_VERSION
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def cache_key(
     config: SystemConfig,
     policy: str,
@@ -100,36 +115,21 @@ def cache_key(
     faults: Optional[FaultPlan] = None,
     workload: Optional[WorkloadSpec] = None,
 ) -> str:
-    """Content address of one simulation run.
+    """:func:`task_key` of the task these arguments build."""
+    from repro.experiments.parallel import ReplicationTask
 
-    The key is the SHA-256 hex digest of the canonical JSON serialization
-    of every input that determines the run's output.  ``system_kind`` and
-    ``system_kwargs`` identify extension system classes (stale-info,
-    update-workload, heterogeneous) and their parameters so extension runs
-    never collide with standard ones.  A non-``None`` *faults* plan is
-    folded into the key (so a faulted run can never be answered from a
-    faultless entry); ``None`` leaves the payload — and therefore every
-    pre-faults key — unchanged.  *workload* behaves the same way: a
-    non-``None`` spec (callers normalize the closed default to ``None``
-    first) is folded in, and ``None`` preserves every pre-workload key.
-    """
-    payload: Dict[str, Any] = {
-        "cache_version": CACHE_VERSION,
-        "config": config_to_dict(config),
-        "policy": policy,
-        "seed": seed,
-        "warmup": warmup,
-        "duration": duration,
-        "system_kind": system_kind,
-        "system_kwargs": {name: value for name, value in system_kwargs},
-    }
-    if faults is not None:
-        # Added only when present: existing cache entries stay addressable.
-        payload["faults"] = fault_plan_to_dict(faults)
-    if workload is not None:
-        # Same rule as faults: only open workloads alter the key.
-        payload["workload"] = workload_spec_to_dict(workload)
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    task = ReplicationTask(
+        config=config,
+        policy=policy,
+        seed=seed,
+        warmup=warmup,
+        duration=duration,
+        system_kind=system_kind,
+        system_kwargs=tuple(system_kwargs),
+        faults=faults,
+        workload=workload,
+    )
+    return task_key(task)
 
 
 @dataclass
@@ -235,5 +235,6 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "canonical_json",
+    "task_key",
     "default_cache_dir",
 ]

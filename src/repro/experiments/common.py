@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import ClassVar, Optional, Sequence, Tuple
 
 from repro.experiments.report import TextTable, improvement_pct
 from repro.experiments.runconfig import RunSettings
@@ -29,6 +29,8 @@ from repro.model.metrics import SystemResults
 class AveragedResults:
     """Replication-averaged run results for one (config, policy) pair."""
 
+    format_version: ClassVar[int] = 1
+
     policy: str
     mean_waiting_time: float
     mean_response_time: float
@@ -38,7 +40,7 @@ class AveragedResults:
     disk_utilization: float
     remote_fraction: float
     completions: int
-    per_replication: tuple
+    per_replication: Tuple[SystemResults, ...]
 
     @property
     def rho_ratio(self) -> float:

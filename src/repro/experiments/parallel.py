@@ -38,7 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.cache import ResultCache, cache_key
+from repro.codec import OMIT_NONE
+from repro.experiments.cache import ResultCache, task_key
 from repro.experiments.runconfig import RunSettings
 from repro.extensions.heterogeneous import HeterogeneousCPU
 from repro.extensions.stale_info import StaleLoadInfo
@@ -47,7 +48,8 @@ from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.model.mechanism import Mechanism
 from repro.model.metrics import SystemResults
-from repro.workloads.spec import WorkloadSpec, normalize_workload
+from repro.runner import RunSpec, execute, settle_run
+from repro.workloads.spec import WorkloadSpec
 
 #: Serialized extension kinds: name -> mechanism factory, called with the
 #: task's ``system_kwargs`` (the way policy names map to policies).
@@ -132,8 +134,8 @@ class ReplicationTask:
     duration: float
     system_kind: str = "standard"
     system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=())
-    faults: Optional[FaultPlan] = None
-    workload: Optional[WorkloadSpec] = None
+    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_NONE)
+    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
         if self.system_kind not in SYSTEM_KINDS:
@@ -144,9 +146,7 @@ class ReplicationTask:
         ordered = tuple(sorted(self.system_kwargs))
         object.__setattr__(self, "system_kwargs", ordered)
         self.extensions()  # fail early on bad mechanism arguments
-        if self.faults is not None and self.faults.is_noop:
-            object.__setattr__(self, "faults", None)
-        object.__setattr__(self, "workload", normalize_workload(self.workload))
+        settle_run(self)
 
     def extensions(self) -> Tuple[Mechanism, ...]:
         """Fresh extension mechanisms for one run of this task."""
@@ -162,18 +162,8 @@ class ReplicationTask:
             ) from None
 
     def key(self) -> str:
-        """Content address of this task (see :func:`cache_key`)."""
-        return cache_key(
-            self.config,
-            self.policy,
-            seed=self.seed,
-            warmup=self.warmup,
-            duration=self.duration,
-            system_kind=self.system_kind,
-            system_kwargs=self.system_kwargs,
-            faults=self.faults,
-            workload=self.workload,
-        )
+        """Content address of this task (see :func:`task_key`)."""
+        return task_key(self)
 
 
 def replication_tasks(
@@ -213,10 +203,6 @@ def run_task(task: ReplicationTask) -> SystemResults:
     telemetry-free, so telemetry options can never perturb cache keys or
     cached content.
     """
-    # Imported lazily so pool workers (and the no-runner import path)
-    # never pay for it, and to keep the module import graph acyclic.
-    from repro.runner import RunSpec, execute
-
     from repro.model.system import DistributedDatabase
     from repro.policies.registry import make_policy
 

@@ -14,11 +14,13 @@ independently derived master seeds and results are averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.codec import OMIT_NONE, REQUIRED
 from repro.faults.plan import FaultPlan
-from repro.workloads.spec import WorkloadSpec, normalize_workload
+from repro.runner import settle_run
+from repro.workloads.spec import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -30,28 +32,20 @@ class RunSettings:
     derived seed); ``None`` — and a no-op plan — keeps the runs faultless.
     ``workload`` optionally drives the runs with an open workload spec;
     ``None`` — and the default closed spec — keeps the paper's closed
-    terminals.
+    terminals.  Both keys are left out of the JSON form while ``None``.
     """
 
-    warmup: float = 3000.0
-    duration: float = 15000.0
-    replications: int = 1
-    base_seed: int = 20250705
-    faults: Optional[FaultPlan] = None
-    workload: Optional[WorkloadSpec] = None
+    warmup: float = field(default=3000.0, metadata=REQUIRED)
+    duration: float = field(default=15000.0, metadata=REQUIRED)
+    replications: int = field(default=1, metadata=REQUIRED)
+    base_seed: int = field(default=20250705, metadata=REQUIRED)
+    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_NONE)
+    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
-        if self.warmup < 0 or self.duration <= 0:
-            raise ValueError("need warmup >= 0 and duration > 0")
+        settle_run(self)
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.faults is not None and self.faults.is_noop:
-            # Normalize: a no-op plan is the same run as no plan, and the
-            # cache key must agree.
-            object.__setattr__(self, "faults", None)
-        # Same normalization for workloads: the default closed spec is the
-        # same run as no spec, and the cache key must agree.
-        object.__setattr__(self, "workload", normalize_workload(self.workload))
 
     def with_faults(self, faults: Optional[FaultPlan]) -> "RunSettings":
         """These settings with *faults* installed (``None`` to clear)."""

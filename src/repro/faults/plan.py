@@ -10,14 +10,14 @@ replays byte-identically.
 
 Plans are frozen dataclasses built from primitives and tuples only: they
 are hashable (usable as cache-key components), comparable, and round-trip
-through JSON via :func:`repro.model.serialization.fault_plan_to_dict`.
+through JSON via :mod:`repro.codec` (the ``--faults`` file format).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from repro.faults.errors import FaultError
 
@@ -169,6 +169,8 @@ class FaultPlan:
         backoff_factor: Multiplier applied to the backoff per further
             retry (>= 1; exponential backoff).
     """
+
+    format_version: ClassVar[int] = 1
 
     site_outages: Tuple[SiteOutage, ...] = ()
     random_outages: Tuple[RandomOutages, ...] = ()

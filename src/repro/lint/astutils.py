@@ -120,20 +120,6 @@ def call_name(node: ast.AST, imports: Mapping[str, str]) -> Optional[str]:
     return None
 
 
-def is_dataclass_decorator(node: ast.expr, imports: Mapping[str, str]) -> bool:
-    """True for ``@dataclass``, ``@dataclass(...)``, and aliased forms."""
-    target: ast.AST = node.func if isinstance(node, ast.Call) else node
-    name = resolve_name(target, imports)
-    return name in ("dataclass", "dataclasses.dataclass")
-
-
-def is_classvar_annotation(node: ast.expr, imports: Mapping[str, str]) -> bool:
-    """True when an annotation is ``ClassVar`` / ``ClassVar[...]``."""
-    target: ast.AST = node.value if isinstance(node, ast.Subscript) else node
-    name = resolve_name(target, imports)
-    return name in ("ClassVar", "typing.ClassVar")
-
-
 __all__ = [
     "collect_imports",
     "dotted",
@@ -141,6 +127,4 @@ __all__ = [
     "resolve_imported",
     "iteration_sites",
     "call_name",
-    "is_dataclass_decorator",
-    "is_classvar_annotation",
 ]

@@ -1,10 +1,12 @@
 """The determinism & simulation-invariant rules (RL001–RL012).
 
 Each rule encodes one invariant the reproduction depends on.  RL001 and
-RL004 directly guard the bit-identical parallel/cached-run guarantee from
-PR 1; the others close the remaining nondeterminism channels (wall-clock
-time, unordered iteration, hidden environment inputs, swallowed engine
-errors) and keep the content-addressed cache key complete (RL006).
+RL004 directly guard the bit-identical parallel/cached-run guarantee; the
+others close the remaining nondeterminism channels (wall-clock time,
+unordered iteration, hidden environment inputs, swallowed engine errors).
+RL006 (serialization coverage) is retired: every format is now derived
+from its dataclass, and ``tests/model/test_codec_coverage.py`` checks
+that each field reaches the encoding and the cache key.
 
 Rules are pure AST analyses — nothing here imports or executes the code
 under inspection.  See ``docs/linting.md`` for the full rationale of every
@@ -16,14 +18,9 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.astutils import (
-    is_classvar_annotation,
-    is_dataclass_decorator,
-    iteration_sites,
-)
+from repro.lint.astutils import iteration_sites
 from repro.lint.base import (
     ModuleContext,
-    ProjectContext,
     Rule,
     Violation,
     register,
@@ -49,34 +46,6 @@ AGGREGATION_SCOPE: Tuple[str, ...] = (
     "repro.experiments.common",
     "repro.experiments.parallel",
 )
-
-#: Modules holding the dataclasses that parameterize or summarize runs;
-#: every field must be covered by ``repro.model.serialization`` so the
-#: content-addressed cache key (and archived results) stay complete.
-SERIALIZED_DATACLASS_SCOPE: Tuple[str, ...] = (
-    "repro.model.config",
-    "repro.model.metrics",
-    "repro.sim.stats",
-    "repro.experiments.common",
-    "repro.workloads.arrivals",
-    "repro.workloads.spec",
-    "repro.ablation.spec",
-    "repro.telemetry.tracing.spans",
-    "repro.telemetry.tracing.decisions",
-)
-
-SERIALIZATION_MODULE = "repro.model.serialization"
-
-#: Modules whose string constants count as serialized field coverage.
-#: Study specs serialize themselves (``repro.ablation.spec`` holds both
-#: the dataclasses and their JSON round-trip), and the tracing exporters
-#: own the span/decision-record round-trip, so all three feed RL006.
-SERIALIZATION_MODULES: Tuple[str, ...] = (
-    SERIALIZATION_MODULE,
-    "repro.ablation.spec",
-    "repro.telemetry.tracing.export",
-)
-
 
 @register
 class GlobalRandomState(Rule):
@@ -325,80 +294,6 @@ class MutableDefault(Rule):
                         "mutable default argument is shared across calls; "
                         "default to None (or use dataclasses.field) and "
                         "construct inside the function",
-                    )
-
-
-@register
-class SerializationCoverage(Rule):
-    """RL006 — every config/results dataclass field must be serialized.
-
-    The content-addressed result cache hashes the serialized config; a
-    dataclass field that ``repro.model.serialization`` does not mention is
-    invisible to the cache key, so two *different* runs could collide on
-    one cache entry.  This cross-module check requires every field of the
-    dataclasses in the config/results modules to appear as a string key
-    in the serialization module.
-    """
-
-    code = "RL006"
-    name = "serialization-coverage"
-    summary = (
-        "every dataclass field in config/results modules must appear in "
-        "a serialization module (cache-key completeness)"
-    )
-    scope = SERIALIZED_DATACLASS_SCOPE
-
-    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        modules = [
-            ctx
-            for ctx in (project.get(name) for name in SERIALIZATION_MODULES)
-            if ctx is not None
-        ]
-        if not modules:
-            # Partial run (single file / fixture tree without any
-            # serialization module): the cross-module check cannot apply.
-            return
-        keys: Set[str] = {
-            node.value
-            for ctx in modules
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-        for module_name in SERIALIZED_DATACLASS_SCOPE:
-            ctx = project.get(module_name)
-            if ctx is None:
-                continue
-            yield from self._check_dataclasses(ctx, keys)
-
-    def _check_dataclasses(
-        self, ctx: ModuleContext, keys: Set[str]
-    ) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(
-                is_dataclass_decorator(dec, ctx.imports)
-                for dec in node.decorator_list
-            ):
-                continue
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                if not isinstance(stmt.target, ast.Name):
-                    continue
-                field_name = stmt.target.id
-                if field_name.startswith("_"):
-                    continue
-                if is_classvar_annotation(stmt.annotation, ctx.imports):
-                    continue
-                if field_name not in keys:
-                    yield self.violation(
-                        ctx,
-                        stmt,
-                        f"dataclass field {node.name}.{field_name} is not "
-                        f"mentioned in any of {SERIALIZATION_MODULES}; "
-                        "serialize it (and bump the format version) or "
-                        "the cache key is incomplete",
                     )
 
 
@@ -869,15 +764,11 @@ class GuardedEmit(Rule):
 __all__ = [
     "CORE_SIM_SCOPE",
     "AGGREGATION_SCOPE",
-    "SERIALIZED_DATACLASS_SCOPE",
-    "SERIALIZATION_MODULE",
-    "SERIALIZATION_MODULES",
     "GlobalRandomState",
     "WallClock",
     "UnorderedIteration",
     "FloatSum",
     "MutableDefault",
-    "SerializationCoverage",
     "EnvironmentRead",
     "SwallowedException",
     "PrintInCore",

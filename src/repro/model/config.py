@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
-
-class ConfigError(ValueError):
-    """An invalid model configuration."""
+from repro.codec import REQUIRED, ConfigError
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,13 @@ class SystemConfig:
             number of cycles (the optimizer estimate keeps the raw value).
     """
 
-    num_sites: int = 6
-    site: SiteSpec = dataclasses.field(default_factory=SiteSpec)
-    classes: Tuple[QueryClassSpec, ...] = ()
-    class_probs: Tuple[float, ...] = ()
-    network: NetworkSpec = dataclasses.field(default_factory=NetworkSpec)
+    format_version: ClassVar[int] = 1
+
+    num_sites: int = dataclasses.field(default=6, metadata=REQUIRED)
+    site: SiteSpec = dataclasses.field(default_factory=SiteSpec, metadata=REQUIRED)
+    classes: Tuple[QueryClassSpec, ...] = dataclasses.field(default=(), metadata=REQUIRED)
+    class_probs: Tuple[float, ...] = dataclasses.field(default=(), metadata=REQUIRED)
+    network: NetworkSpec = dataclasses.field(default_factory=NetworkSpec, metadata=REQUIRED)
     disk_organization: str = DISK_PER_DISK
     integer_reads: bool = True
 

@@ -16,9 +16,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
 
+from repro.codec import OMIT_NONE
 from repro.model.config import SystemConfig
 from repro.model.query import Query
 from repro.sim.monitor import Tally
@@ -249,7 +250,13 @@ class SystemResults:
         spans: Span-stream roll-up when query-lifecycle tracing was
             enabled (``TelemetryConfig(spans=True)``); ``None``
             otherwise — like ``telemetry``, never cached.
+
+    ``workload``, ``decisions`` and ``spans`` are left out of the JSON
+    form while ``None``, so payloads of runs without those features stay
+    byte-identical to older archives and cache entries.
     """
+
+    format_version: ClassVar[int] = 1
 
     policy: str
     mean_waiting_time: float
@@ -266,9 +273,9 @@ class SystemResults:
     waiting_ci: Optional[IntervalEstimate] = None
     telemetry: Optional[Tuple[Tuple[str, float], ...]] = None
     availability: Optional[AvailabilitySummary] = None
-    workload: Optional[WorkloadSummary] = None
-    decisions: Optional[DecisionSummary] = None
-    spans: Optional[SpanSummary] = None
+    workload: Optional[WorkloadSummary] = field(default=None, metadata=OMIT_NONE)
+    decisions: Optional[DecisionSummary] = field(default=None, metadata=OMIT_NONE)
+    spans: Optional[SpanSummary] = field(default=None, metadata=OMIT_NONE)
 
     def __str__(self) -> str:
         fair = f"{self.fairness:+.4f}" if self.fairness is not None else "n/a"

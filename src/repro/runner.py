@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
@@ -66,6 +66,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids importing the
     from repro.experiments.runconfig import RunSettings
 
 
+def settle_run(carrier: Any) -> None:
+    """Check a frozen run carrier's window and normalize its inputs in place.
+
+    :class:`RunSpec`, :class:`~repro.experiments.runconfig.RunSettings`
+    and :class:`~repro.experiments.parallel.ReplicationTask` all call
+    this from ``__post_init__``, so one run length is checked one way:
+    ``warmup`` finite and >= 0, ``duration`` finite and > 0.  A no-op
+    fault plan and the default closed workload become ``None`` — the
+    same run, so it must share the cache key.
+    """
+    if not (math.isfinite(carrier.warmup) and carrier.warmup >= 0):
+        raise ValueError(f"warmup must be finite and >= 0, got {carrier.warmup}")
+    if not (math.isfinite(carrier.duration) and carrier.duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {carrier.duration}")
+    if carrier.faults is not None and carrier.faults.is_noop:
+        object.__setattr__(carrier, "faults", None)
+    object.__setattr__(carrier, "workload", normalize_workload(carrier.workload))
+
+
 @dataclass(frozen=True, slots=True)
 class RunSpec:
     """Everything that defines one simulation run (except the model).
@@ -77,8 +96,8 @@ class RunSpec:
         telemetry: What to collect during the run; ``None`` disables the
             telemetry subsystem entirely (zero overhead).
         faults: Fault plan to install before the run; ``None`` (and a
-            no-op plan) runs the plain, faultless life cycle — the run is
-            then byte-identical to one without the field.
+            no-op plan, which normalizes to ``None``) runs the plain,
+            faultless life cycle — byte-identical to one without the field.
         workload: Workload spec driving the run; ``None`` (and the
             default closed spec, which normalizes to ``None``) is the
             paper's closed model — byte-identical to one without the
@@ -96,13 +115,7 @@ class RunSpec:
     workload: Optional[WorkloadSpec] = None
 
     def __post_init__(self) -> None:
-        if self.warmup < 0 or math.isinf(self.warmup) or self.warmup != self.warmup:
-            raise ValueError(f"warmup must be finite and >= 0, got {self.warmup}")
-        if not (self.duration > 0) or math.isinf(self.duration):
-            raise ValueError(
-                f"duration must be finite and > 0, got {self.duration}"
-            )
-        object.__setattr__(self, "workload", normalize_workload(self.workload))
+        settle_run(self)
 
     @classmethod
     def from_settings(
@@ -241,4 +254,4 @@ def run(
     return execute(system, spec)
 
 
-__all__ = ["RunSpec", "RunReport", "execute", "run"]
+__all__ = ["RunSpec", "RunReport", "execute", "run", "settle_run"]

@@ -51,8 +51,10 @@ Event                   Emitted when / by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Tuple, Type, Union
+
+from repro.codec import TaggedUnion
 
 #: The primitive value types an event field may carry.
 FieldValue = Union[float, int, str, bool]
@@ -400,37 +402,25 @@ EVENT_REGISTRY: Dict[str, Type[TelemetryEvent]] = {
 }
 
 
+#: Every event type as a JSON tagged union (the JSONL ``event`` tag).
+EVENTS = TaggedUnion("event", EVENT_REGISTRY, "telemetry event tag")
+
+
 def event_to_dict(event: TelemetryEvent) -> Dict[str, FieldValue]:
     """Flatten *event* into JSON primitives, tagged with its type name."""
-    payload: Dict[str, FieldValue] = {"event": event.name}
-    for spec in fields(event):
-        payload[spec.name] = getattr(event, spec.name)
-    return payload
-
-
-_COERCERS = {"float": float, "int": int, "str": str, "bool": bool}
+    return EVENTS.encode(event)
 
 
 def event_from_dict(data: Dict[str, FieldValue]) -> TelemetryEvent:
     """Rebuild a typed event from :func:`event_to_dict` output.
 
-    Field values are coerced to the annotated primitive type (JSON does not
-    distinguish ``1`` from ``1.0``), so round-trips restore exact types.
+    JSON does not distinguish ``1`` from ``1.0``; the codec restores the
+    annotated primitive types.
 
     Raises:
-        ValueError: On an unknown event tag or missing fields.
+        ValueError: On an unknown event tag, unknown keys or missing fields.
     """
-    tag = data.get("event")
-    if not isinstance(tag, str) or tag not in EVENT_REGISTRY:
-        raise ValueError(f"unknown telemetry event tag {tag!r}")
-    cls = EVENT_REGISTRY[tag]
-    kwargs: Dict[str, FieldValue] = {}
-    for spec in fields(cls):
-        if spec.name not in data:
-            raise ValueError(f"{tag} record is missing field {spec.name!r}")
-        coerce = _COERCERS.get(str(spec.type), str)
-        kwargs[spec.name] = coerce(data[spec.name])
-    return cls(**kwargs)  # type: ignore[arg-type]
+    return EVENTS.decode(data)
 
 
 __all__ = [
@@ -457,6 +447,7 @@ __all__ = [
     "ServiceFinished",
     "EVENT_TYPES",
     "EVENT_REGISTRY",
+    "EVENTS",
     "event_to_dict",
     "event_from_dict",
 ]

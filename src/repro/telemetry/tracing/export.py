@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
+from repro.codec import decode, encode
 from repro.telemetry.tracing.decisions import DecisionRecord
 from repro.telemetry.tracing.spans import Span
 
@@ -46,26 +47,12 @@ def _canonical(payload: Any) -> str:
 # ----------------------------------------------------------------------
 def span_to_dict(span: Span) -> Dict[str, Any]:
     """Flatten one span into JSON primitives."""
-    return {
-        "span_id": span.span_id,
-        "kind": span.kind,
-        "qid": span.qid,
-        "site": span.site,
-        "start": span.start,
-        "end": span.end,
-    }
+    return encode(span)
 
 
 def span_from_dict(data: Dict[str, Any]) -> Span:
     """Rebuild a :class:`Span` from :func:`span_to_dict` output."""
-    return Span(
-        span_id=str(data["span_id"]),
-        kind=str(data["kind"]),
-        qid=int(data["qid"]),
-        site=int(data["site"]),
-        start=float(data["start"]),
-        end=float(data["end"]),
-    )
+    return decode(Span, data)
 
 
 def spans_to_chrome_json(spans: Sequence[Span]) -> str:
@@ -134,48 +121,12 @@ def read_spans_chrome(path: PathLike) -> Tuple[Span, ...]:
 # ----------------------------------------------------------------------
 def decision_to_dict(record: DecisionRecord) -> Dict[str, Any]:
     """Flatten one decision record into JSON primitives."""
-    return {
-        "time": record.time,
-        "qid": record.qid,
-        "class_name": record.class_name,
-        "home_site": record.home_site,
-        "chosen_site": record.chosen_site,
-        "staleness": record.staleness,
-        "seen_loads": list(record.seen_loads),
-        "true_loads": list(record.true_loads),
-        "candidates": list(record.candidates),
-        "est_service": record.est_service,
-        "est_transfer": record.est_transfer,
-        "est_return": record.est_return,
-        "attempt": record.attempt,
-        "cost_chosen": record.cost_chosen,
-        "cost_best": record.cost_best,
-        "best_site": record.best_site,
-        "regret": record.regret,
-    }
+    return encode(record)
 
 
 def decision_from_dict(data: Dict[str, Any]) -> DecisionRecord:
     """Rebuild a :class:`DecisionRecord` from :func:`decision_to_dict`."""
-    return DecisionRecord(
-        time=float(data["time"]),
-        qid=int(data["qid"]),
-        class_name=str(data["class_name"]),
-        home_site=int(data["home_site"]),
-        chosen_site=int(data["chosen_site"]),
-        staleness=float(data["staleness"]),
-        seen_loads=tuple(int(n) for n in data["seen_loads"]),
-        true_loads=tuple(int(n) for n in data["true_loads"]),
-        candidates=tuple(int(n) for n in data["candidates"]),
-        est_service=float(data["est_service"]),
-        est_transfer=float(data["est_transfer"]),
-        est_return=float(data["est_return"]),
-        attempt=int(data["attempt"]),
-        cost_chosen=float(data["cost_chosen"]),
-        cost_best=float(data["cost_best"]),
-        best_site=int(data["best_site"]),
-        regret=float(data["regret"]),
-    )
+    return decode(DecisionRecord, data)
 
 
 def decisions_to_jsonl(records: Sequence[DecisionRecord]) -> str:

@@ -25,7 +25,7 @@ replays stay byte-identical.
 All spec classes are frozen, hashable dataclasses built from primitives
 and tuples only, so a :class:`~repro.workloads.spec.WorkloadSpec` can be
 folded into the content-addressed cache key and round-tripped through
-JSON (:func:`repro.model.serialization.workload_spec_to_dict`).
+JSON (:data:`ARRIVALS`).
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ import json
 import math
 import pathlib
 import random
+import typing
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ClassVar,
     Generator,
     Protocol,
     Sequence,
@@ -46,6 +48,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.codec import TaggedUnion
 from repro.sim.process import Hold
 from repro.workloads.errors import WorkloadError
 
@@ -67,8 +70,8 @@ class ArrivalProcess(Protocol):
     An arrival process is pure data plus two behaviours: validate itself
     against a concrete system configuration, and launch its driving
     simulation processes.  The built-ins below serialize and enter cache
-    keys; custom implementations work at run time but are rejected by
-    :func:`repro.model.serialization.workload_spec_to_dict`.
+    keys; custom implementations work at run time but cannot be
+    encoded (:data:`ARRIVALS` names the built-ins).
     """
 
     @property
@@ -191,9 +194,7 @@ class ClosedTerminals:
     constructed without any workload argument.
     """
 
-    @property
-    def kind(self) -> str:
-        return "closed"
+    kind: ClassVar[str] = "closed"
 
     def validate_for(self, config: "SystemConfig") -> None:
         if config.site.mpl < 1:
@@ -219,6 +220,8 @@ class PoissonOpen:
             a uniformly random home site.
     """
 
+    kind: ClassVar[str] = "poisson"
+
     rate: float
     per_site: bool = True
 
@@ -226,10 +229,6 @@ class PoissonOpen:
         _require_finite("rate", self.rate)
         if self.rate <= 0:
             raise WorkloadError(f"rate must be > 0, got {self.rate}")
-
-    @property
-    def kind(self) -> str:
-        return "poisson"
 
     def validate_for(self, config: "SystemConfig") -> None:
         del config  # any topology hosts Poisson arrivals
@@ -270,6 +269,8 @@ class MMPP:
             supported; kept for symmetry and validated away).
     """
 
+    kind: ClassVar[str] = "mmpp"
+
     rates: Tuple[float, ...]
     mean_holding: Tuple[float, ...]
     per_site: bool = True
@@ -299,10 +300,6 @@ class MMPP:
         if not self.per_site:
             raise WorkloadError("MMPP currently supports per_site=True only")
 
-    @property
-    def kind(self) -> str:
-        return "mmpp"
-
     def validate_for(self, config: "SystemConfig") -> None:
         del config
 
@@ -331,6 +328,8 @@ class DiurnalRate:
         period: Length of one full day/cycle in simulated time (> 0).
     """
 
+    kind: ClassVar[str] = "diurnal"
+
     base_rate: float
     amplitude: float
     period: float
@@ -352,10 +351,6 @@ class DiurnalRate:
             raise WorkloadError(
                 "DiurnalRate currently supports per_site=True only"
             )
-
-    @property
-    def kind(self) -> str:
-        return "diurnal"
 
     def intensity_at(self, t: float) -> float:
         """The instantaneous arrival rate at simulated time *t*."""
@@ -391,6 +386,8 @@ class TraceDriven:
             content-addressed: two runs replaying the same trace share a
             cache key, whatever file it came from.
     """
+
+    kind: ClassVar[str] = "trace"
 
     arrivals: Tuple[Tuple[float, int], ...]
 
@@ -433,10 +430,6 @@ class TraceDriven:
                 ) from None
         return cls(arrivals=tuple(arrivals))
 
-    @property
-    def kind(self) -> str:
-        return "trace"
-
     def validate_for(self, config: "SystemConfig") -> None:
         for _, site in self.arrivals:
             if site >= config.num_sites:
@@ -456,6 +449,11 @@ class TraceDriven:
 
 #: The serializable arrival-process types (what cache keys understand).
 ArrivalSpec = Union[ClosedTerminals, PoissonOpen, MMPP, DiurnalRate, TraceDriven]
+
+#: The same types as a JSON tagged union, keyed by their ``kind``.
+ARRIVALS = TaggedUnion(
+    "kind", {cls.kind: cls for cls in typing.get_args(ArrivalSpec)}, "arrival-process kind"
+)
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +541,7 @@ def _trace_arrivals(
 __all__ = [
     "ArrivalProcess",
     "ArrivalSpec",
+    "ARRIVALS",
     "ClosedTerminals",
     "PoissonOpen",
     "MMPP",

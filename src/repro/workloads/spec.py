@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
-from repro.workloads.arrivals import ArrivalSpec, ClosedTerminals
+from repro.codec import REQUIRED, tagged
+from repro.workloads.arrivals import ARRIVALS, ArrivalSpec, ClosedTerminals
 from repro.workloads.errors import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +71,11 @@ class WorkloadSpec:
             terminals self-regulate and never shed.
     """
 
-    arrivals: ArrivalSpec = field(default_factory=ClosedTerminals)
+    format_version: ClassVar[int] = 1
+
+    arrivals: ArrivalSpec = field(
+        default_factory=ClosedTerminals, metadata={**tagged(ARRIVALS), **REQUIRED}
+    )
     admission: Optional[AdmissionControl] = None
 
     def __post_init__(self) -> None:

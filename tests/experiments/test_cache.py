@@ -103,7 +103,8 @@ class TestCacheKey:
             {"warmup": 101.0},
             {"duration": 501.0},
             {"system_kind": "stale"},
-            {"system_kwargs": (("refresh_interval", 5.0),)},
+            # A key is a task's: kwargs need an extension kind to be valid.
+            {"system_kwargs": (("refresh_interval", 5.0),), "system_kind": "stale"},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -121,9 +122,14 @@ class TestCacheKey:
         assert _key(bumped) != _key(cfg)
 
     def test_system_kwargs_order_irrelevant(self):
-        forward = _key(system_kwargs=(("a", 1), ("b", 2.0)))
-        backward = _key(system_kwargs=(("b", 2.0), ("a", 1)))
+        forward = _key(
+            system_kind="updates", system_kwargs=(("update_pages", 2), ("update_prob", 0.1))
+        )
+        backward = _key(
+            system_kind="updates", system_kwargs=(("update_prob", 0.1), ("update_pages", 2))
+        )
         assert forward == backward
+        assert forward != _key(system_kind="updates")
 
     def test_task_key_matches_cache_key(self, tiny_config):
         task = replication_tasks(tiny_config, "BNQ", SMALL)[0]

@@ -41,7 +41,9 @@ def test_src_repro_is_clean():
 
 def test_all_advertised_rules_are_registered():
     codes = rule_codes()
-    expected = [f"RL{n:03d}" for n in range(1, 20)]
+    # RL006 (serialization coverage) is retired; tests/model/test_codec_coverage.py
+    # checks the same property on the codec.
+    expected = [f"RL{n:03d}" for n in range(1, 20) if n != 6]
     assert codes == expected
     for rule in iter_rules():
         assert rule.summary, f"{rule.code} has no summary"

@@ -109,7 +109,7 @@ def test_cli_syntax_error_exit_two(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RL001", "RL004", "RL006", "RL010"):
+    for code in ("RL001", "RL004", "RL007", "RL010"):
         assert code in out
 
 

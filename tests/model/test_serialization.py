@@ -5,23 +5,22 @@ import json
 
 import pytest
 
+from repro.codec import decode, encode
+from repro.experiments.common import AveragedResults
 from repro.model.config import ConfigError, NetworkSpec, paper_defaults
 from repro.model.metrics import SystemResults
 from repro.model.serialization import (
     FORMAT_VERSION,
     RESULTS_FORMAT_VERSION,
-    averaged_results_from_dict,
-    averaged_results_to_dict,
     config_from_dict,
     config_to_dict,
-    interval_from_dict,
-    interval_to_dict,
     load_config,
     results_from_dict,
     results_to_dict,
     save_config,
 )
 from repro.sim.stats import IntervalEstimate
+from repro.telemetry.tracing import DecisionSummary, SpanSummary
 
 
 def make_results(policy="LERT", fairness=0.15, with_ci=True):
@@ -126,19 +125,19 @@ class TestIntervalRoundTrip:
         estimate = IntervalEstimate(
             mean=1.25, half_width=0.5, confidence=0.95, batches=12
         )
-        assert interval_from_dict(interval_to_dict(estimate)) == estimate
+        assert decode(IntervalEstimate, encode(estimate)) == estimate
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            interval_from_dict("not a dict")
+            decode(IntervalEstimate, "not a dict")
 
     def test_missing_key(self):
-        data = interval_to_dict(
+        data = encode(
             IntervalEstimate(mean=1.0, half_width=0.1, confidence=0.9, batches=5)
         )
         del data["half_width"]
         with pytest.raises(ConfigError):
-            interval_from_dict(data)
+            decode(IntervalEstimate, data)
 
 
 class TestResultsRoundTrip:
@@ -198,8 +197,6 @@ class TestTracingSummariesRoundTrip:
     """`SystemResults.decisions` / `.spans` serialization (conditional)."""
 
     def _traced(self):
-        from repro.telemetry.tracing import DecisionSummary, SpanSummary
-
         return dataclasses.replace(
             make_results(),
             decisions=DecisionSummary(
@@ -244,33 +241,15 @@ class TestTracingSummariesRoundTrip:
         assert results_from_dict(payload) == make_results()
 
     def test_summary_dict_helpers_round_trip(self):
-        from repro.model.serialization import (
-            decision_summary_from_dict,
-            decision_summary_to_dict,
-            span_summary_from_dict,
-            span_summary_to_dict,
-        )
-
         traced = self._traced()
-        assert (
-            decision_summary_from_dict(decision_summary_to_dict(traced.decisions))
-            == traced.decisions
-        )
-        assert (
-            span_summary_from_dict(span_summary_to_dict(traced.spans))
-            == traced.spans
-        )
+        assert decode(DecisionSummary, encode(traced.decisions)) == traced.decisions
+        assert decode(SpanSummary, encode(traced.spans)) == traced.spans
 
     def test_summary_missing_key_rejected(self):
-        from repro.model.serialization import (
-            decision_summary_from_dict,
-            decision_summary_to_dict,
-        )
-
-        data = decision_summary_to_dict(self._traced().decisions)
+        data = encode(self._traced().decisions)
         del data["total_regret"]
         with pytest.raises(ConfigError):
-            decision_summary_from_dict(data)
+            decode(DecisionSummary, data)
 
 
 class TestAveragedResultsRoundTrip:
@@ -282,27 +261,27 @@ class TestAveragedResultsRoundTrip:
 
     def test_round_trip(self):
         averaged = self._averaged()
-        rebuilt = averaged_results_from_dict(averaged_results_to_dict(averaged))
+        rebuilt = decode(AveragedResults, encode(averaged))
         assert rebuilt == averaged
         assert rebuilt.per_replication == averaged.per_replication
 
     def test_survives_json_round_trip(self):
         averaged = self._averaged()
-        data = json.loads(json.dumps(averaged_results_to_dict(averaged)))
-        assert averaged_results_from_dict(data) == averaged
+        data = json.loads(json.dumps(encode(averaged)))
+        assert decode(AveragedResults, data) == averaged
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(17)
+            decode(AveragedResults, 17)
 
     def test_unknown_version(self):
-        data = averaged_results_to_dict(self._averaged())
+        data = encode(self._averaged())
         data["format_version"] = RESULTS_FORMAT_VERSION + 1
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(data)
+            decode(AveragedResults, data)
 
     def test_missing_key(self):
-        data = averaged_results_to_dict(self._averaged())
+        data = encode(self._averaged())
         del data["per_replication"]
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(data)
+            decode(AveragedResults, data)

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.model.serialization import (
-    results_from_dict,
-    results_to_dict,
-    workload_summary_from_dict,
-    workload_summary_to_dict,
-)
+from repro.codec import decode, encode
+from repro.model.metrics import WorkloadSummary
+from repro.model.serialization import results_from_dict, results_to_dict
 from repro.runner import RunSpec, run
 from repro.telemetry.events import QueryShed
 from repro.telemetry.session import TelemetryConfig
@@ -134,7 +131,7 @@ class TestShedTelemetry:
 class TestSummarySerialization:
     def test_summary_roundtrips(self, tiny_config):
         summary = open_run(tiny_config).results.workload
-        restored = workload_summary_from_dict(workload_summary_to_dict(summary))
+        restored = decode(WorkloadSummary, encode(summary))
         assert restored == summary
 
     def test_results_with_workload_roundtrip(self, tiny_config):

@@ -5,9 +5,8 @@ import math
 
 import pytest
 
-from repro.model.config import paper_defaults
+from repro.model.config import ConfigError, paper_defaults
 from repro.model.serialization import (
-    ConfigError,
     load_workload_spec,
     save_workload_spec,
     workload_spec_from_dict,
