@@ -10,7 +10,7 @@ to it.
 
 import dataclasses
 
-from repro.experiments.common import simulate
+from repro.ablation.study import simulate
 from repro.model.config import DISK_PER_DISK, DISK_SHARED, paper_defaults
 
 
@@ -35,11 +35,11 @@ def test_ablation_disk_organization(benchmark, quick_settings):
     print("disk organization ablation (W = mean waiting time):")
     for organization, by_policy in results.items():
         for policy, r in by_policy.items():
-            print(f"  {organization:9s} {policy:6s} W={r.mean_waiting_time:6.2f}")
+            print(f"  {organization:9s} {policy:6s} W={r.waiting_time:6.2f}")
 
     for policy in ("LOCAL", "LERT"):
-        per_disk = results[DISK_PER_DISK][policy].mean_waiting_time
-        shared = results[DISK_SHARED][policy].mean_waiting_time
+        per_disk = results[DISK_PER_DISK][policy].waiting_time
+        shared = results[DISK_SHARED][policy].waiting_time
         assert shared <= per_disk * 1.05, (
             f"{policy}: shared queue should not be materially worse "
             f"({shared:.2f} vs {per_disk:.2f})"
@@ -48,11 +48,11 @@ def test_ablation_disk_organization(benchmark, quick_settings):
     # The policy ranking survives the organization change.
     for organization in (DISK_PER_DISK, DISK_SHARED):
         assert (
-            results[organization]["LERT"].mean_waiting_time
-            < results[organization]["LOCAL"].mean_waiting_time
+            results[organization]["LERT"].waiting_time
+            < results[organization]["LOCAL"].waiting_time
         )
     benchmark.extra_info["shared_vs_per_disk_local"] = round(
-        results[DISK_SHARED]["LOCAL"].mean_waiting_time
-        / results[DISK_PER_DISK]["LOCAL"].mean_waiting_time,
+        results[DISK_SHARED]["LOCAL"].waiting_time
+        / results[DISK_PER_DISK]["LOCAL"].waiting_time,
         3,
     )

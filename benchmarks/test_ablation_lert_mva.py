@@ -8,7 +8,7 @@ on the table, LERT-MVA should win clearly; the paper's implicit claim —
 that the simple formula captures what matters — predicts a near-tie.
 """
 
-from repro.experiments.common import simulate
+from repro.ablation.study import simulate
 from repro.model.config import paper_defaults
 
 
@@ -25,11 +25,11 @@ def test_ablation_lert_mva(benchmark, quick_settings):
     print()
     print("LERT cost-model ablation:")
     for policy, r in results.items():
-        print(f"  {policy:9s} W={r.mean_waiting_time:6.2f}")
+        print(f"  {policy:9s} W={r.waiting_time:6.2f}")
 
-    bnq = results["BNQ"].mean_waiting_time
-    lert = results["LERT"].mean_waiting_time
-    lert_mva = results["LERT-MVA"].mean_waiting_time
+    bnq = results["BNQ"].waiting_time
+    lert = results["LERT"].waiting_time
+    lert_mva = results["LERT-MVA"].waiting_time
 
     # Both estimate-based variants beat count balancing.
     assert lert < bnq

@@ -8,7 +8,6 @@ collapse past the system's natural time constant as every site herds onto
 the same stale "least-loaded" victim (eventually worse than LOCAL).
 """
 
-from repro.experiments.common import AveragedResults
 from repro.extensions import StaleLoadInfo
 from repro.model.config import paper_defaults
 from repro.model.system import DistributedDatabase

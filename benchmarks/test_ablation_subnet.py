@@ -5,20 +5,37 @@ of sites.  If true, replacing the shared ring with a point-to-point mesh
 (aggregate capacity ∝ S·(S−1)) should remove the downturn.
 """
 
+from repro.ablation import run_study
+from repro.ablation.catalog import GridOutcome, subnet_scaling_study
 from repro.experiments import ablations
 
 SITES = (2, 6, 10)
 
 
+class _Result:
+    """LERT's gain over LOCAL and its subnet utilization per (subnet, sites)."""
+
+    def __init__(self, grid):
+        cells = [(subnet, n) for subnet in ("ring", "mesh") for n in SITES]
+        self.improvements = {
+            (s, n): grid.gain(f"{s}-{n}", "LERT", "LOCAL") for s, n in cells
+        }
+        self.subnet_utilization = {
+            (s, n): grid.cell(f"{s}-{n}", "LERT").metrics.subnet_utilization
+            for s, n in cells
+        }
+
+
 def test_ablation_subnet_scaling(benchmark, quick_settings):
-    result = benchmark.pedantic(
-        ablations.subnet_scaling_study,
-        args=(quick_settings, SITES),
+    outcome = benchmark.pedantic(
+        run_study,
+        args=(subnet_scaling_study(quick_settings, SITES),),
         rounds=1,
         iterations=1,
     )
     print()
-    print(ablations.format_subnet_scaling(result))
+    print(ablations.format_subnet_scaling(outcome))
+    result = _Result(GridOutcome(outcome))
 
     # The ring's channel utilization climbs steeply with sites; the mesh's
     # per-link utilization stays negligible.

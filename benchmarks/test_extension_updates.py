@@ -5,19 +5,40 @@ matter where the triggering query ran, update traffic *dilutes* the benefit
 of dynamic allocation without changing the policy ranking.
 """
 
+from repro.ablation import run_study
+from repro.ablation.catalog import GridOutcome, update_fraction_study
 from repro.experiments import ablations
+
+
+class _Result:
+    """Per update fraction: W per policy, LERT's gain and subnet utilization."""
+
+    def __init__(self, grid, fractions):
+        point = {f: f"f{f:g}" for f in fractions}
+        self.rows = {
+            f: {p: grid.waiting(point[f], p) for p in ("LOCAL", "LERT")}
+            for f in fractions
+        }
+        self.subnet = {
+            f: grid.cell(point[f], "LERT").metrics.subnet_utilization for f in fractions
+        }
+        self._gain = {f: grid.gain(point[f], "LERT", "LOCAL") for f in fractions}
+
+    def lert_improvement(self, fraction):
+        return self._gain[fraction]
 
 
 def test_extension_update_fraction(benchmark, quick_settings):
     fractions = (0.0, 0.2, 0.4)
-    result = benchmark.pedantic(
-        ablations.update_fraction_sweep,
-        args=(quick_settings, fractions),
+    outcome = benchmark.pedantic(
+        run_study,
+        args=(update_fraction_study(quick_settings, fractions),),
         rounds=1,
         iterations=1,
     )
     print()
-    print(ablations.format_update_fraction(result))
+    print(ablations.format_update_fraction(outcome))
+    result = _Result(GridOutcome(outcome), fractions)
 
     # LERT keeps winning while the ring has headroom; at 40% updates the
     # channel saturates (>90% utilization) and the advantage dissolves to

@@ -8,29 +8,35 @@ Shape checks:
 * dynamic allocation helps at every size.
 """
 
+from repro.ablation import build_study, run_study
+from repro.ablation.catalog import GridOutcome
 from repro.experiments import table11
 
 
 def test_table11_sites(benchmark, quick_settings):
-    result = benchmark.pedantic(
-        table11.run_experiment, args=(quick_settings,), rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_study, args=(build_study("table11", quick_settings),), rounds=1, iterations=1
     )
     print()
-    print(table11.format_table(result))
+    print(table11.format_table(outcome))
+    grid = GridOutcome(outcome)
 
-    utils = [row.subnet_utilization("LERT") for row in result.rows]
+    utils = [
+        100.0 * grid.cell(sites, "LERT").metrics.subnet_utilization
+        for sites in grid.points
+    ]
     assert all(b > a for a, b in zip(utils, utils[1:])), (
         f"subnet utilization must rise with sites, got {utils}"
     )
 
-    for row in result.rows:
-        assert row.vs_local("BNQ") > 0
-        assert row.vs_local("LERT") > 0
+    for sites in grid.points:
+        assert grid.gain(sites, "BNQ", "LOCAL") > 0
+        assert grid.gain(sites, "LERT", "LOCAL") > 0
 
     # Interior maximum: the best site count is neither the smallest nor
     # the largest swept value.
-    peak = result.peak_improvement_sites("LERT")
-    assert result.rows[0].num_sites < peak <= result.rows[-1].num_sites
+    peak = table11.peak_improvement_sites(grid, "LERT")
+    assert int(grid.points[0]) < peak <= int(grid.points[-1])
     benchmark.extra_info["peak_sites"] = peak
     benchmark.extra_info["subnet_util_range"] = (
         round(utils[0], 1),

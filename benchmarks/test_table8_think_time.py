@@ -6,33 +6,36 @@ Shape checks mirror the paper's findings:
 * improvement over LOCAL grows as utilization falls (think time rises).
 """
 
+from repro.ablation import build_study, run_study
+from repro.ablation.catalog import GridOutcome
 from repro.experiments import table8
-from repro.experiments.runconfig import QUICK
 
 
 def test_table8_think_time(benchmark, quick_settings):
-    result = benchmark.pedantic(
-        table8.run_experiment, args=(quick_settings,), rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_study, args=(build_study("table8", quick_settings),), rounds=1, iterations=1
     )
     print()
-    print(table8.format_table(result))
+    print(table8.format_table(outcome))
+    grid = GridOutcome(outcome)
 
-    for row in result.rows:
+    for think in grid.points:
         for policy in ("BNQ", "BNQRD", "LERT"):
-            assert row.vs_local(policy) > 0, (
-                f"{policy} should beat LOCAL at think={row.think_time}"
+            assert grid.gain(think, policy, "LOCAL") > 0, (
+                f"{policy} should beat LOCAL at think={think}"
             )
         # Information-based policies beat count-balancing.
-        assert row.vs_bnq("BNQRD") > -3.0
-        assert row.vs_bnq("LERT") > -3.0
+        assert grid.gain(think, "BNQRD", "BNQ") > -3.0
+        assert grid.gain(think, "LERT", "BNQ") > -3.0
 
     # Averaged over the sweep, the information advantage is positive.
-    mean_bnqrd_gain = sum(r.vs_bnq("BNQRD") for r in result.rows) / len(result.rows)
-    mean_lert_gain = sum(r.vs_bnq("LERT") for r in result.rows) / len(result.rows)
+    points = grid.points
+    mean_bnqrd_gain = sum(grid.gain(p, "BNQRD", "BNQ") for p in points) / len(points)
+    mean_lert_gain = sum(grid.gain(p, "LERT", "BNQ") for p in points) / len(points)
     assert mean_bnqrd_gain > 2.0
     assert mean_lert_gain > 2.0
 
     # Low utilization end shows larger improvement than the high end.
-    first, last = result.rows[0], result.rows[-1]
-    assert last.vs_local("LERT") > first.vs_local("LERT")
+    first, last = points[0], points[-1]
+    assert grid.gain(last, "LERT", "LOCAL") > grid.gain(first, "LERT", "LOCAL")
     benchmark.extra_info["lert_gain_over_bnq_pct"] = round(mean_lert_gain, 2)

@@ -5,27 +5,31 @@ the multiprogramming level; the relative improvement over LOCAL shrinks at
 the heavy-load end (paper: 36.9% at mpl 15 down to 11% at mpl 35 for BNQ).
 """
 
+from repro.ablation import build_study, run_study
+from repro.ablation.catalog import GridOutcome
 from repro.experiments import table9
 
 
 def test_table9_mpl(benchmark, quick_settings):
-    result = benchmark.pedantic(
-        table9.run_experiment, args=(quick_settings,), rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_study, args=(build_study("table9", quick_settings),), rounds=1, iterations=1
     )
     print()
-    print(table9.format_table(result))
+    print(table9.format_table(outcome))
+    grid = GridOutcome(outcome)
 
-    waits = [row.w_local for row in result.rows]
+    waits = [grid.waiting(mpl, "LOCAL") for mpl in grid.points]
     assert waits == sorted(waits), "W_LOCAL must rise with mpl"
 
-    for row in result.rows:
+    for mpl in grid.points:
         for policy in ("BNQ", "BNQRD", "LERT"):
-            assert row.vs_local(policy) > 0
+            assert grid.gain(mpl, policy, "LOCAL") > 0
 
-    light, heavy = result.rows[0], result.rows[-1]
-    assert light.vs_local("BNQ") > heavy.vs_local("BNQ"), (
+    light, heavy = grid.points[0], grid.points[-1]
+    assert grid.gain(light, "BNQ", "LOCAL") > grid.gain(heavy, "BNQ", "LOCAL"), (
         "BNQ's improvement should shrink under heavy load"
     )
     # Utilization rises across the sweep (paper: 0.41 -> 0.83).
-    assert heavy.rho_c > light.rho_c + 0.2
+    rho_c = {mpl: grid.cell(mpl, "LOCAL").metrics.cpu_utilization for mpl in grid.points}
+    assert rho_c[heavy] > rho_c[light] + 0.2
     benchmark.extra_info["w_local_range"] = (round(waits[0], 2), round(waits[-1], 2))

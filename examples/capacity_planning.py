@@ -11,7 +11,7 @@ Run:  python examples/capacity_planning.py
 
 from repro import DistributedDatabase, make_policy, paper_defaults
 from repro.analysis.capacity import local_response_time
-from repro.experiments.common import TextTable
+from repro.experiments.report import TextTable
 
 POLICIES = ("LOCAL", "BNQ", "LERT")
 RESPONSE_TARGET = 60.0

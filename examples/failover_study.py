@@ -22,7 +22,7 @@ from repro import (
     make_policy,
     paper_defaults,
 )
-from repro.experiments.common import TextTable
+from repro.experiments.report import TextTable
 
 POLICIES = ("LOCAL", "BNQ", "BNQRD", "LERT")
 WARMUP = 2000.0

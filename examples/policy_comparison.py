@@ -9,7 +9,7 @@ Run:  python examples/policy_comparison.py
 """
 
 from repro import DistributedDatabase, make_policy, paper_defaults
-from repro.experiments.common import TextTable, improvement_pct
+from repro.experiments.report import TextTable, improvement_pct
 
 POLICIES = ("LOCAL", "RANDOM", "BNQ", "BNQRD", "LERT", "LERT-MVA")
 THINK_TIMES = (200.0, 350.0, 500.0)

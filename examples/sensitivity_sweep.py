@@ -1,4 +1,4 @@
-"""Custom sensitivity analysis with the sweep framework.
+"""Custom sensitivity analysis with grid studies.
 
 The paper fixes disk_time = 1.0 and num_reads = 20; this example asks a
 question the paper doesn't: *how does the value of dynamic allocation
@@ -6,7 +6,8 @@ change when queries get shorter?*  Short queries mean the (fixed)
 msg_length is a larger fraction of the work — transfers should pay off
 less, and LERT's network-awareness should matter more relative to BNQ.
 
-Also demonstrates CSV export for downstream analysis.
+Also demonstrates a one-parameter sweep — a grid study of named points
+crossed with policies — and its CSV export for downstream analysis.
 
 Run:  python examples/sensitivity_sweep.py
 """
@@ -15,9 +16,11 @@ import dataclasses
 import tempfile
 
 from repro import paper_defaults
-from repro.experiments import RunSettings, SweepSpec, run_sweep, write_csv
-from repro.experiments.common import TextTable, improvement_pct
-from repro.model.config import QueryClassSpec
+from repro.ablation import run_study
+from repro.ablation.catalog import GridOutcome, grid_study
+from repro.ablation.study import simulate
+from repro.experiments import RunSettings, write_csv
+from repro.experiments.report import TextTable, improvement_pct
 
 SETTINGS = RunSettings(warmup=1000.0, duration=5000.0, replications=1, base_seed=17)
 
@@ -36,17 +39,11 @@ def main() -> None:
         title="Query length sensitivity (shorter queries, relatively pricier transfers)",
     )
     for num_reads in (5.0, 10.0, 20.0, 40.0):
-        spec = SweepSpec(
-            name=f"reads-{num_reads:g}",
-            base=config_with_reads(num_reads),
-            parameter="site.think_time",  # degenerate single-value sweep
-            values=(350.0,),
-            policies=("LOCAL", "BNQ", "LERT"),
+        config = config_with_reads(num_reads)
+        local, bnq, lert = (
+            simulate(config, policy, SETTINGS).waiting_time
+            for policy in ("LOCAL", "BNQ", "LERT")
         )
-        result = run_sweep(spec, SETTINGS)
-        local = result.result(350.0, "LOCAL").mean_waiting_time
-        bnq = result.result(350.0, "BNQ").mean_waiting_time
-        lert = result.result(350.0, "LERT").mean_waiting_time
         table.add_row(
             f"{num_reads:g}",
             f"{local:.2f}",
@@ -60,22 +57,26 @@ def main() -> None:
     print()
 
     # A proper one-dimensional sweep with CSV export.
-    spec = SweepSpec(
-        name="msg-length",
-        base=paper_defaults(),
-        parameter="network.msg_length",
-        values=(0.5, 1.0, 2.0),
+    spec = grid_study(
+        "msg-length",
+        config=paper_defaults(),
+        settings=SETTINGS,
+        points=[
+            (f"{length:g}", {"config_patches": (("network.msg_length", length),)})
+            for length in (0.5, 1.0, 2.0)
+        ],
         policies=("BNQ", "LERT"),
     )
-    result = run_sweep(spec, SETTINGS)
+    grid = GridOutcome(run_study(spec))
     with tempfile.NamedTemporaryFile(
         suffix=".csv", delete=False, mode="w"
     ) as handle:
         path = handle.name
-    write_csv(result, path)
+    write_csv(grid, path)
     print(f"msg_length sweep exported to {path}")
-    print("  LERT W series:", [round(w, 2) for w in result.series("LERT")])
-    print("  BNQ  W series:", [round(w, 2) for w in result.series("BNQ")])
+    for policy in ("LERT", "BNQ"):
+        series = [round(grid.waiting(point, policy), 2) for point in grid.points]
+        print(f"  {policy:<4} W series:", series)
 
 
 if __name__ == "__main__":

@@ -138,7 +138,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 
 def __getattr__(name: str) -> Any:

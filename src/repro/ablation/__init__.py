@@ -24,11 +24,16 @@ or, from a committed spec file::
 
     repro-experiments study studies/core.json --jobs 4
 
+A *grid* study — named points × policies, the shape of every paper
+table — comes from :func:`~repro.ablation.catalog.grid_study` and is
+read back cell by cell with
+:class:`~repro.ablation.catalog.GridOutcome`.
+
 See ``docs/ablation.md`` for the spec format, the run-ID scheme, and the
 report columns.
 """
 
-from repro.ablation.catalog import build_study, study_names
+from repro.ablation.catalog import GridOutcome, build_study, grid_study, study_names
 from repro.ablation.grid import BASELINE_LABEL, StudyCell, StudyGrid, expand
 from repro.ablation.report import (
     ComponentImportance,
@@ -53,6 +58,7 @@ from repro.ablation.study import (
     MetricSet,
     StudyOutcome,
     run_study,
+    simulate,
 )
 
 __all__ = [
@@ -72,6 +78,7 @@ __all__ = [
     "CellOutcome",
     "StudyOutcome",
     "run_study",
+    "simulate",
     "VariantEffect",
     "ComponentImportance",
     "metric_delta_pct",
@@ -80,4 +87,6 @@ __all__ = [
     "render_study_report",
     "build_study",
     "study_names",
+    "grid_study",
+    "GridOutcome",
 ]

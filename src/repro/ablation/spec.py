@@ -31,7 +31,17 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional, Tuple, Union
 
-from repro.codec import OMIT_EMPTY, OMIT_NONE, decode, encode, freeze, load, omit_unless, save
+from repro.codec import (
+    OMIT_EMPTY,
+    OMIT_NONE,
+    ConfigError,
+    decode,
+    encode,
+    freeze,
+    load,
+    omit_unless,
+    save,
+)
 from repro.experiments.parallel import SYSTEM_KINDS
 from repro.experiments.runconfig import RunSettings
 from repro.experiments.sweep import set_config_parameter
@@ -210,7 +220,12 @@ class StudySpec:
             for variant in component.variants:
                 config = self.config
                 for dotted_path, value in variant.config_patches:
-                    config = set_config_parameter(config, dotted_path, value)
+                    try:
+                        config = set_config_parameter(config, dotted_path, value)
+                    except ConfigError as bad:
+                        raise ConfigError(
+                            f"study {self.name!r}, variant {variant.name!r}: {bad}"
+                        ) from None
 
     def component(self, name: str) -> Component:
         """Look up one component by name."""

@@ -4,7 +4,9 @@
 through the parallel runner as one batch (so ``--jobs N`` fans the whole
 study out, duplicates are simulated once, and the cache answers
 anything already run), then folds each cell's replications into a
-:class:`MetricSet`.
+:class:`MetricSet` — the one replication aggregate of the harness.
+:func:`simulate` is the one-cell shortcut: one (config, policy) pair at
+given settings, folded the same way.
 
 Determinism contract: every aggregate uses :func:`math.fsum` (whose
 correctly rounded result is permutation invariant), and the runner
@@ -22,6 +24,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.ablation.grid import StudyCell, StudyGrid, expand
 from repro.ablation.spec import StudySpec
 from repro.experiments.context import StudyContext
+from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import ProgressCallback, replication_tasks, run_tasks
+from repro.experiments.runconfig import RunSettings
+from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
 
 
@@ -40,6 +46,9 @@ class MetricSet:
         shed_rate: Fraction of offered arrivals dropped by admission
             control: ``shed / offered``.  0.0 for closed-workload runs.
         subnet_utilization: Mean communication-subnet utilization.
+        cpu_utilization: Mean per-site CPU utilization (the paper's ρ_c).
+        disk_utilization: Mean per-disk utilization (ρ_d).
+        remote_fraction: Mean fraction of queries executed remotely.
         completions: Total completed queries across replications.
     """
 
@@ -49,7 +58,23 @@ class MetricSet:
     availability: float
     shed_rate: float
     subnet_utilization: float
+    cpu_utilization: float
+    disk_utilization: float
+    remote_fraction: float
     completions: int
+
+    @property
+    def rho_ratio(self) -> float:
+        """ρ_d / ρ_c — measured disk-to-CPU utilization ratio (Table 12).
+
+        ``nan`` when both utilizations are zero (an idle system has no
+        meaningful ratio); ``inf`` when only the CPU was idle.
+        """
+        if self.cpu_utilization == 0:
+            if self.disk_utilization == 0:
+                return float("nan")
+            return float("inf")
+        return self.disk_utilization / self.cpu_utilization
 
     def value(self, metric: str) -> Optional[float]:
         """One metric by study-metric name (see ``STUDY_METRICS``)."""
@@ -93,8 +118,36 @@ def metrics_from_runs(runs: Sequence[SystemResults]) -> MetricSet:
         availability=1.0 if attempted == 0 else completions / attempted,
         shed_rate=0.0 if offered == 0 else shed / offered,
         subnet_utilization=_avg([r.subnet_utilization for r in runs]),
+        cpu_utilization=_avg([r.cpu_utilization for r in runs]),
+        disk_utilization=_avg([r.disk_utilization for r in runs]),
+        remote_fraction=_avg([r.remote_fraction for r in runs]),
         completions=completions,
     )
+
+
+def simulate(
+    config: SystemConfig,
+    policy: str,
+    settings: RunSettings,
+    *,
+    jobs: Optional[int] = 1,
+    cache: Optional[ResultCache] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> MetricSet:
+    """Run one (config, policy) cell, averaged over replications.
+
+    Replication ``r`` of every policy uses the same master seed, so all
+    policies face an identical stream of queries (common random numbers).
+    ``jobs``, ``cache`` and ``progress`` mean what they mean for
+    :func:`~repro.experiments.parallel.run_tasks`; none changes the result.
+    """
+    runs = run_tasks(
+        replication_tasks(config, policy, settings),
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+    )
+    return metrics_from_runs(runs)
 
 
 @dataclass(frozen=True)
@@ -117,11 +170,13 @@ class StudyOutcome:
     baseline: CellOutcome
     cells: Tuple[CellOutcome, ...]
 
+    def all_cells(self) -> Tuple[CellOutcome, ...]:
+        """Baseline first, then every variant cell in spec order."""
+        return (self.baseline,) + self.cells
+
     def cell(self, label: str) -> CellOutcome:
         """Look up one executed cell by label (including ``"baseline"``)."""
-        if label == self.baseline.label:
-            return self.baseline
-        for candidate in self.cells:
+        for candidate in self.all_cells():
             if candidate.label == label:
                 return candidate
         raise KeyError(f"study {self.spec.name!r} has no cell {label!r}")
@@ -180,4 +235,5 @@ __all__ = [
     "StudyOutcome",
     "run_grid",
     "run_study",
+    "simulate",
 ]

@@ -235,6 +235,22 @@ def _decode_object(
         raise ConfigError(f"{where}: {bad}") from None
 
 
+def check_field(cls: type, name: str, value: Any, path: str) -> Any:
+    """*value* as field *name* of dataclass *cls* reads back from JSON.
+
+    The type check for a value set in code rather than read from a file
+    (a study's config patches): it must survive the field's encoder and
+    decoder, so a wrong type raises the same :class:`ConfigError`, naming
+    *path*, that a config file with that value would.
+    """
+    spec = next(spec for spec in _plan(cls).fields if spec.name == name)
+    try:
+        data = value if spec.encode is None else spec.encode(value)
+    except (TypeError, AttributeError, ConfigError):
+        raise _wrong(path, f"a value of {cls.__name__}.{name}'s type", value) from None
+    return spec.decode(data, path)
+
+
 def freeze(value: Any) -> Any:
     """*value* with every list and tuple turned into a tuple, recursively."""
     if isinstance(value, (list, tuple)):
@@ -368,6 +384,7 @@ __all__ = [
     "OMIT_EMPTY",
     "REQUIRED",
     "ConfigError",
+    "check_field",
     "TaggedUnion",
     "omit_unless",
     "tagged",

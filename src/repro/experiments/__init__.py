@@ -1,33 +1,31 @@
-"""Experiment harness: one module per reproduced table (DESIGN.md §3).
+"""Experiment harness: the paper's tables as studies, and their renderers.
 
 * E1/E2 — :mod:`repro.experiments.table5`, :mod:`repro.experiments.table6`
   (analytic, exact MVA).
-* E3–E7 — :mod:`repro.experiments.table8` … :mod:`repro.experiments.table12`
-  (simulation sweeps).
-* E8 — :mod:`repro.experiments.msg_sensitivity`.
+* E3–E7 — :mod:`repro.experiments.table8` … :mod:`repro.experiments.table12`,
+  E8 — :mod:`repro.experiments.msg_sensitivity`, and the extension tables
+  :mod:`~repro.experiments.failure` and :mod:`~repro.experiments.open_system`
+  (simulation grids).
 
-Each module exposes ``run_experiment(...)`` returning structured results
-and ``format_table(...)`` rendering paper-style rows.  The front door is
-the experiment registry (:mod:`repro.experiments.registry`): every
-experiment — tables, extensions, ablations, committed studies — is an
+Every simulated table is a catalog study
+(:func:`repro.ablation.catalog.grid_study`: named points × policies with
+common random numbers), so its cells are content-addressed runs shared
+with ``repro-experiments study`` and the result cache; the table module
+only renders the executed study (``format_table(outcome)``) and states
+its derived checks.  The front door is the experiment registry
+(:mod:`repro.experiments.registry`): every experiment — tables,
+extensions, ablations, committed studies — is an
 :class:`~repro.experiments.registry.Experiment` with a uniform
 ``run(settings, context)``, and the ``repro-experiments`` CLI generates
 its subcommands from it.  Execution options (workers, cache, progress)
 travel in one typed :class:`~repro.experiments.context.StudyContext`.
+
+The table modules import :mod:`repro.ablation`, which imports this
+package's backend, so they are not imported here: ``from
+repro.experiments import table8`` loads one on demand.  One-cell runs
+(:func:`repro.ablation.simulate`) live there too.
 """
 
-from repro.experiments import (
-    ablations,
-    validation,
-    msg_sensitivity,
-    table5,
-    table6,
-    table8,
-    table9,
-    table10,
-    table11,
-    table12,
-)
 from repro.experiments.context import SERIAL, StudyContext
 from repro.experiments.registry import (
     Experiment,
@@ -40,28 +38,20 @@ from repro.experiments.cache import (
     cache_key,
     default_cache_dir,
 )
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    average_results,
-    improvement_pct,
-    simulate,
-)
 from repro.experiments.parallel import (
     ReplicationTask,
     resolve_jobs,
     run_tasks,
-    simulate_many,
 )
 from repro.experiments.report import (
+    TextTable,
     generate_report,
+    improvement_pct,
     report_sections,
     write_report,
 )
 from repro.experiments.sweep import (
-    SweepResult,
-    SweepSpec,
-    run_sweep,
+    CSV_COLUMNS,
     set_config_parameter,
     write_csv,
 )
@@ -74,40 +64,25 @@ from repro.experiments.runconfig import (
     settings_for,
 )
 
+
 __all__ = [
-    "ablations",
-    "validation",
-    "table5",
-    "table6",
-    "table8",
-    "table9",
-    "table10",
-    "table11",
-    "table12",
-    "msg_sensitivity",
-    "AveragedResults",
     "TextTable",
-    "average_results",
     "improvement_pct",
-    "simulate",
     "ResultCache",
     "cache_key",
     "default_cache_dir",
     "ReplicationTask",
     "resolve_jobs",
     "run_tasks",
-    "simulate_many",
     "RunSettings",
     "QUICK",
     "STANDARD",
     "PAPER",
     "SCALES",
     "settings_for",
-    "SweepSpec",
-    "SweepResult",
-    "run_sweep",
     "set_config_parameter",
     "write_csv",
+    "CSV_COLUMNS",
     "generate_report",
     "report_sections",
     "write_report",

@@ -1,43 +1,32 @@
-"""Ablation experiments (DESIGN.md A1–A4) and extension studies.
+"""Ablation experiments (DESIGN.md A1–A4) and extension studies: renderers.
 
 These go beyond the paper's tables: each quantifies one modeling choice or
-relaxes one of the paper's assumptions.
+relaxes one of the paper's assumptions.  Each is a catalog study
+(:mod:`repro.ablation.catalog`), so the table here, the committed spec
+under ``studies/`` and ``repro-experiments study`` all run the *same*
+content-addressed cells; this module only renders executed studies and
+states their derived checks.
 
-* :func:`stale_info_sweep` — value of load-information freshness (A2).
-* :func:`disk_organization_study` — per-disk queues vs shared queue (A1).
-* :func:`update_fraction_sweep` — read-only assumption relaxed (footnote).
-* :func:`heterogeneity_study` — homogeneity assumption relaxed.
+* ``stale-info`` — value of load-information freshness (A2).
+* ``disk-organization`` — per-disk queues vs shared queue (A1).
+* ``update-fraction`` — read-only assumption relaxed (footnote).
+* ``heterogeneity`` — homogeneity assumption relaxed.
+* ``subnet-scaling`` — Table 11's sweep on a ring vs a mesh.
 * The LERT-vs-LERT-MVA comparison (A3) and tie-break study (A4) live in
   the benchmark suite since they are single-shot comparisons.
 
-Since the declarative study harness landed (:mod:`repro.ablation`), these
-sweeps no longer assemble their own task lists: each expands the matching
-catalog :class:`~repro.ablation.spec.StudySpec` and reads its cells, so
-the sweep, the committed spec under ``studies/``, and ``repro-experiments
-study`` all run the *same* content-addressed cells.  The result
-dataclasses and ``format_*`` renderers are unchanged.
-
-Each sweep runs one replication per cell (the behavior these functions
-always had): ``settings.replications`` is overridden to 1, and the
-shared seed ``settings.seed_for(0)`` gives every cell common random
-numbers.
+The registry runs these experiments at one replication per cell (the
+behavior they always had), whatever the scale preset says.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.experiments.common import TextTable, improvement_pct
-from repro.experiments.context import StudyContext
-from repro.experiments.runconfig import STANDARD, RunSettings
+from repro.ablation.catalog import GridOutcome
+from repro.ablation.study import StudyOutcome
+from repro.experiments.report import TextTable, improvement_pct
 from repro.model.config import DISK_PER_DISK, DISK_SHARED
-
-
-def _single_replication(settings: RunSettings) -> RunSettings:
-    """These sweeps always ran one replication per cell; keep that."""
-    return dataclasses.replace(settings, replications=1)
 
 
 # ----------------------------------------------------------------------
@@ -45,61 +34,35 @@ def _single_replication(settings: RunSettings) -> RunSettings:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StaleInfoResult:
-    intervals: Tuple[float, ...]
-    waits: Dict[float, float]
-    w_local: float
-
-    def collapse_interval(self) -> float:
-        """First swept interval at which LERT falls behind LOCAL."""
-        for interval in self.intervals:
-            if self.waits[interval] > self.w_local:
-                return interval
-        return float("inf")
-
-
-def stale_info_sweep(
-    settings: RunSettings = STANDARD,
-    intervals: Tuple[float, ...] = (0.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0),
-    policy: str = "LERT",
-    *,
-    context: StudyContext = StudyContext(),
-) -> StaleInfoResult:
-    """LERT's waiting time as load snapshots go stale."""
-    # Imported lazily: the experiments package imports this module, and
-    # the study harness imports the experiments backend (cycle otherwise).
-    from repro.ablation.catalog import stale_info_study as _stale_spec
-    from repro.ablation.study import run_study
-
-    spec = _stale_spec(
-        _single_replication(settings), intervals=tuple(intervals), policy=policy
-    )
-    outcome = run_study(spec, context=context)
-    waits: Dict[float, float] = {
-        interval: outcome.cell(
-            f"load-information:refresh-{interval:g}"
-        ).metrics.waiting_time
-        for interval in intervals
+def stale_waits(outcome: StudyOutcome) -> Dict[float, float]:
+    """W per snapshot refresh interval, in spec order."""
+    (component,) = outcome.spec.components
+    return {
+        dict(variant.system_kwargs)["refresh_interval"]: cell.metrics.waiting_time
+        for variant, cell in zip(component.variants, outcome.cells)
     }
-    return StaleInfoResult(
-        intervals=tuple(intervals),
-        waits=waits,
-        w_local=outcome.baseline.metrics.waiting_time,
-    )
 
 
-def format_stale_info(result: StaleInfoResult) -> str:
+def collapse_interval(outcome: StudyOutcome) -> float:
+    """First swept interval at which the informed policy falls behind LOCAL."""
+    w_local = outcome.baseline.metrics.waiting_time
+    for interval, w in stale_waits(outcome).items():
+        if w > w_local:
+            return interval
+    return float("inf")
+
+
+def format_stale_info(outcome: StudyOutcome) -> str:
+    w_local = outcome.baseline.metrics.waiting_time
     table = TextTable(
         ["refresh interval", "W", "vs LOCAL %"],
-        title=f"Load-information staleness (W_LOCAL = {result.w_local:.2f})",
+        title=f"Load-information staleness (W_LOCAL = {w_local:.2f})",
     )
-    for interval in result.intervals:
-        w = result.waits[interval]
+    for interval, w in stale_waits(outcome).items():
         table.add_row(
             "always current" if interval == 0 else f"{interval:.0f}",
             f"{w:.2f}",
-            f"{improvement_pct(w, result.w_local):.1f}",
+            f"{improvement_pct(w, w_local):.1f}",
         )
     return table.render()
 
@@ -109,55 +72,25 @@ def format_stale_info(result: StaleInfoResult) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskOrganizationResult:
-    waits: Dict[Tuple[str, str], float]  # (organization, policy) -> W
-
-    def shared_advantage(self, policy: str) -> float:
-        """Percent W reduction from pooling the disk queue."""
-        return improvement_pct(
-            self.waits[(DISK_SHARED, policy)], self.waits[(DISK_PER_DISK, policy)]
-        )
+def shared_advantage(grid: GridOutcome, policy: str) -> float:
+    """Percent W reduction from pooling the disk queue."""
+    return improvement_pct(
+        grid.waiting(DISK_SHARED, policy), grid.waiting(DISK_PER_DISK, policy)
+    )
 
 
-def disk_organization_study(
-    settings: RunSettings = STANDARD,
-    policies: Tuple[str, ...] = ("LOCAL", "BNQ", "LERT"),
-    *,
-    context: StudyContext = StudyContext(),
-) -> DiskOrganizationResult:
-    """Per-disk queues (paper's Figure 2) vs one shared multi-server queue."""
-    from repro.ablation.catalog import disk_organization_study_spec as _disk_spec
-    from repro.ablation.study import run_study
-
-    spec = _disk_spec(_single_replication(settings), policies=tuple(policies))
-    outcome = run_study(spec, context=context)
-    waits: Dict[Tuple[str, str], float] = {
-        (DISK_PER_DISK, policies[0]): outcome.baseline.metrics.waiting_time
-    }
-    for policy in policies[1:]:
-        waits[(DISK_PER_DISK, policy)] = outcome.cell(
-            f"disk-organization:per_disk-{policy}"
-        ).metrics.waiting_time
-    for policy in policies:
-        waits[(DISK_SHARED, policy)] = outcome.cell(
-            f"disk-organization:shared-{policy}"
-        ).metrics.waiting_time
-    return DiskOrganizationResult(waits=waits)
-
-
-def format_disk_organization(result: DiskOrganizationResult) -> str:
-    policies = sorted({policy for _, policy in result.waits})
+def format_disk_organization(outcome: StudyOutcome) -> str:
+    grid = GridOutcome(outcome)
     table = TextTable(
         ["policy", "per-disk W", "shared W", "shared advantage %"],
         title="Disk organization ablation",
     )
-    for policy in policies:
+    for policy in sorted(grid.policies):
         table.add_row(
             policy,
-            f"{result.waits[(DISK_PER_DISK, policy)]:.2f}",
-            f"{result.waits[(DISK_SHARED, policy)]:.2f}",
-            f"{result.shared_advantage(policy):.1f}",
+            f"{grid.waiting(DISK_PER_DISK, policy):.2f}",
+            f"{grid.waiting(DISK_SHARED, policy):.2f}",
+            f"{shared_advantage(grid, policy):.1f}",
         )
     return table.render()
 
@@ -167,60 +100,19 @@ def format_disk_organization(result: DiskOrganizationResult) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpdateFractionResult:
-    fractions: Tuple[float, ...]
-    rows: Dict[float, Dict[str, float]]  # fraction -> policy -> W
-    subnet: Dict[float, float]
-
-    def lert_improvement(self, fraction: float) -> float:
-        row = self.rows[fraction]
-        return improvement_pct(row["LERT"], row["LOCAL"])
-
-
-def update_fraction_sweep(
-    settings: RunSettings = STANDARD,
-    fractions: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.4),
-    *,
-    context: StudyContext = StudyContext(),
-) -> UpdateFractionResult:
-    """How update propagation load dilutes the allocation benefit."""
-    from repro.ablation.catalog import update_fraction_study as _update_spec
-    from repro.ablation.study import run_study
-
-    spec = _update_spec(_single_replication(settings), fractions=tuple(fractions))
-    outcome = run_study(spec, context=context)
-    rows: Dict[float, Dict[str, float]] = {}
-    subnet: Dict[float, float] = {}
-    for fraction in fractions:
-        row: Dict[str, float] = {}
-        for policy in ("LOCAL", "LERT"):
-            if fraction == fractions[0] and policy == "LOCAL":
-                cell = outcome.baseline
-            else:
-                cell = outcome.cell(f"update-fraction:f{fraction:g}-{policy}")
-            row[policy] = cell.metrics.waiting_time
-            if policy == "LERT":
-                subnet[fraction] = cell.metrics.subnet_utilization
-        rows[fraction] = row
-    return UpdateFractionResult(
-        fractions=tuple(fractions), rows=rows, subnet=subnet
-    )
-
-
-def format_update_fraction(result: UpdateFractionResult) -> str:
+def format_update_fraction(outcome: StudyOutcome) -> str:
+    grid = GridOutcome(outcome)
     table = TextTable(
         ["update %", "W LOCAL", "W LERT", "dLERT %", "subnet %"],
         title="Update-fraction sweep (asynchronous replica propagation)",
     )
-    for fraction in result.fractions:
-        row = result.rows[fraction]
+    for point in grid.points:  # "f<fraction>"
         table.add_row(
-            f"{100 * fraction:.0f}",
-            f"{row['LOCAL']:.2f}",
-            f"{row['LERT']:.2f}",
-            f"{result.lert_improvement(fraction):.1f}",
-            f"{100 * result.subnet[fraction]:.1f}",
+            f"{100 * float(point[1:]):.0f}",
+            f"{grid.waiting(point, 'LOCAL'):.2f}",
+            f"{grid.waiting(point, 'LERT'):.2f}",
+            f"{grid.gain(point, 'LERT', 'LOCAL'):.1f}",
+            f"{100 * grid.cell(point, 'LERT').metrics.subnet_utilization:.1f}",
         )
     return table.render()
 
@@ -229,60 +121,40 @@ def format_update_fraction(result: UpdateFractionResult) -> str:
 # Homogeneity assumption: heterogeneous CPU speeds
 # ----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class HeterogeneityResult:
-    speed_factors: Tuple[float, ...]
-    response_times: Dict[str, float]  # policy -> mean response time
-
-    def informed_advantage(self) -> float:
-        """LERT-HET's response-time advantage over LOCAL, percent."""
-        return improvement_pct(
-            self.response_times["LERT-HET"], self.response_times["LOCAL"]
-        )
+#: The heterogeneity study's cells: LOCAL is its baseline.
+HETEROGENEITY_CELLS = (
+    ("LOCAL", "baseline"),
+    ("BNQ", "allocation-policy:bnq"),
+    ("LERT", "allocation-policy:lert"),
+    ("LERT-HET", "allocation-policy:lert-het"),
+)
 
 
-def heterogeneity_study(
-    settings: RunSettings = STANDARD,
-    speed_factors: Tuple[float, ...] = (0.5, 0.5, 1.0, 1.0, 2.0, 2.0),
-    *,
-    context: StudyContext = StudyContext(),
-) -> HeterogeneityResult:
-    """Policies on a fleet with unequal CPU speeds.
-
-    Response time (not waiting time) is compared: heterogeneity changes
-    realized service times, so waiting alone under-credits fast sites.
-    """
-    from repro.ablation.catalog import heterogeneity_study_spec as _heterogeneity_spec
-    from repro.ablation.study import run_study
-
-    factors = tuple(float(f) for f in speed_factors)
-    spec = _heterogeneity_spec(
-        _single_replication(settings), speed_factors=factors
-    )
-    outcome = run_study(spec, context=context)
-    response_times: Dict[str, float] = {
-        "LOCAL": outcome.baseline.metrics.response_time,
-        "BNQ": outcome.cell("allocation-policy:bnq").metrics.response_time,
-        "LERT": outcome.cell("allocation-policy:lert").metrics.response_time,
-        "LERT-HET": outcome.cell(
-            "allocation-policy:lert-het"
-        ).metrics.response_time,
+def response_times(outcome: StudyOutcome) -> Dict[str, float]:
+    """Mean response time per policy of the heterogeneity study."""
+    return {
+        policy: outcome.cell(label).metrics.response_time
+        for policy, label in HETEROGENEITY_CELLS
     }
-    return HeterogeneityResult(
-        speed_factors=factors, response_times=response_times
-    )
 
 
-def format_heterogeneity(result: HeterogeneityResult) -> str:
+def informed_advantage(outcome: StudyOutcome) -> float:
+    """LERT-HET's response-time advantage over LOCAL, percent."""
+    rt = response_times(outcome)
+    return improvement_pct(rt["LERT-HET"], rt["LOCAL"])
+
+
+def format_heterogeneity(outcome: StudyOutcome) -> str:
+    speed_factors = dict(outcome.spec.baseline.system_kwargs)["cpu_speed_factors"]
     table = TextTable(
         ["policy", "mean response time", "vs LOCAL %"],
-        title=f"Heterogeneous CPU speeds {result.speed_factors}",
+        title=f"Heterogeneous CPU speeds {speed_factors}",
     )
-    base = result.response_times["LOCAL"]
-    for policy in ("LOCAL", "BNQ", "LERT", "LERT-HET"):
-        rt = result.response_times[policy]
-        table.add_row(policy, f"{rt:.2f}", f"{improvement_pct(rt, base):.1f}")
+    rt = response_times(outcome)
+    for policy, _ in HETEROGENEITY_CELLS:
+        table.add_row(
+            policy, f"{rt[policy]:.2f}", f"{improvement_pct(rt[policy], rt['LOCAL']):.1f}"
+        )
     return table.render()
 
 
@@ -291,89 +163,49 @@ def format_heterogeneity(result: HeterogeneityResult) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubnetScalingResult:
-    site_counts: Tuple[int, ...]
-    improvements: Dict[Tuple[str, int], float]  # (subnet, sites) -> dLERT%
-    subnet_utilization: Dict[Tuple[str, int], float]
-
-    def peak_sites(self, subnet: str) -> int:
-        return max(
-            self.site_counts, key=lambda n: self.improvements[(subnet, n)]
-        )
+def subnet_site_counts(grid: GridOutcome) -> Tuple[int, ...]:
+    """The swept site counts (points are ``"<subnet>-<sites>"``)."""
+    return tuple(int(p.split("-")[1]) for p in grid.points if p.startswith("ring-"))
 
 
-def subnet_scaling_study(
-    settings: RunSettings = STANDARD,
-    site_counts: Tuple[int, ...] = (2, 4, 6, 8, 10),
-    *,
-    context: StudyContext = StudyContext(),
-) -> SubnetScalingResult:
-    """Table 11's sweep on the ring versus a point-to-point mesh.
-
-    The paper attributes the interior optimum in the number of sites to
-    channel congestion.  On a mesh whose aggregate capacity grows with
-    S·(S−1), the congestion term vanishes — the improvement curve should
-    keep rising (or flatten) instead of turning down.
-    """
-    from repro.ablation.catalog import subnet_scaling_study as _subnet_spec
-    from repro.ablation.study import run_study
-
-    counts = tuple(site_counts)
-    spec = _subnet_spec(_single_replication(settings), site_counts=counts)
-    outcome = run_study(spec, context=context)
-    improvements: Dict[Tuple[str, int], float] = {}
-    utilization: Dict[Tuple[str, int], float] = {}
-    for subnet in ("ring", "mesh"):
-        for num_sites in counts:
-            if subnet == "ring" and num_sites == counts[0]:
-                local = outcome.baseline
-            else:
-                local = outcome.cell(
-                    f"subnet-scaling:{subnet}-{num_sites}-LOCAL"
-                )
-            lert = outcome.cell(f"subnet-scaling:{subnet}-{num_sites}-LERT")
-            improvements[(subnet, num_sites)] = improvement_pct(
-                lert.metrics.waiting_time, local.metrics.waiting_time
-            )
-            utilization[(subnet, num_sites)] = lert.metrics.subnet_utilization
-    return SubnetScalingResult(
-        site_counts=counts,
-        improvements=improvements,
-        subnet_utilization=utilization,
+def peak_sites(grid: GridOutcome, subnet: str) -> int:
+    """Site count of the largest LERT improvement over LOCAL on *subnet*."""
+    return max(
+        subnet_site_counts(grid),
+        key=lambda n: grid.gain(f"{subnet}-{n}", "LERT", "LOCAL"),
     )
 
 
-def format_subnet_scaling(result: SubnetScalingResult) -> str:
+def format_subnet_scaling(outcome: StudyOutcome) -> str:
+    grid = GridOutcome(outcome)
     table = TextTable(
         ["sites", "ring dLERT%", "ring util%", "mesh dLERT%", "mesh util%"],
         title="Subnet scaling: shared ring vs point-to-point mesh",
     )
-    for n in result.site_counts:
-        table.add_row(
-            str(n),
-            f"{result.improvements[('ring', n)]:.1f}",
-            f"{100 * result.subnet_utilization[('ring', n)]:.1f}",
-            f"{result.improvements[('mesh', n)]:.1f}",
-            f"{100 * result.subnet_utilization[('mesh', n)]:.1f}",
-        )
+    for n in subnet_site_counts(grid):
+        row = [str(n)]
+        for point in (f"ring-{n}", f"mesh-{n}"):
+            lert = grid.cell(point, "LERT").metrics
+            row += [
+                f"{grid.gain(point, 'LERT', 'LOCAL'):.1f}",
+                f"{100 * lert.subnet_utilization:.1f}",
+            ]
+        table.add_row(*row)
     return table.render()
 
 
 __all__ = [
-    "StaleInfoResult",
-    "stale_info_sweep",
+    "stale_waits",
+    "collapse_interval",
     "format_stale_info",
-    "DiskOrganizationResult",
-    "disk_organization_study",
+    "shared_advantage",
     "format_disk_organization",
-    "UpdateFractionResult",
-    "update_fraction_sweep",
     "format_update_fraction",
-    "HeterogeneityResult",
-    "heterogeneity_study",
+    "HETEROGENEITY_CELLS",
+    "response_times",
+    "informed_advantage",
     "format_heterogeneity",
-    "SubnetScalingResult",
-    "subnet_scaling_study",
+    "subnet_site_counts",
+    "peak_sites",
     "format_subnet_scaling",
 ]

@@ -4,11 +4,11 @@ Before this module, every experiment function re-spelled the execution
 options as untyped keyword arguments (``jobs: int = 1, cache=None``),
 which meant N copies of the same plumbing and no single place to add an
 option.  :class:`StudyContext` is that place: it bundles *how* to run —
-worker processes, result cache, progress callback — while the experiment
-arguments keep saying *what* to run.  The name comes from the ablation
-study harness (:mod:`repro.ablation`), whose studies were the forcing
-function for unifying the plumbing; plain table regenerations use the
-same object.
+worker processes, result cache, progress callback — while the study
+spec says *what* to run.  The name comes from the study harness
+(:mod:`repro.ablation`): every table is a catalog study now, so a table
+regeneration, a committed study and an ablation all run through
+:func:`~repro.ablation.study.run_study` with this one object.
 
 A context never affects results: ``jobs`` and ``cache`` are
 bit-for-bit-neutral by the parallel runner's contract, and ``progress``
@@ -17,11 +17,12 @@ exactly what the old default kwargs meant.
 
 Typical use::
 
+    from repro.ablation import build_study, run_study
     from repro.experiments import StudyContext
     from repro.experiments.cache import ResultCache, default_cache_dir
 
     ctx = StudyContext(jobs=4, cache=ResultCache(default_cache_dir()))
-    result = run_sweep(spec, settings, context=ctx)
+    outcome = run_study(build_study("table9", settings), context=ctx)
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Every simulation cell the harness runs — one ``(config, policy, seed)``
 replication — is a pure, picklable function of its inputs, so the
-per-replication and per-cell work of :func:`~repro.experiments.common.simulate`,
-:func:`~repro.experiments.sweep.run_sweep`, and the table modules can fan
-out across cores with :class:`concurrent.futures.ProcessPoolExecutor` and be
-reassembled deterministically: results are returned *in task order*, never
-completion order, and replication averaging uses :func:`math.fsum` (whose
+replications of every study cell (:func:`~repro.ablation.study.run_study`,
+and through it every table) can fan out across cores with
+:class:`concurrent.futures.ProcessPoolExecutor` and be reassembled
+deterministically: results are returned *in task order*, never completion
+order, and replication averaging uses :func:`math.fsum` (whose
 correctly-rounded sum is permutation invariant), so output is bit-identical
 to a serial run regardless of scheduling.
 
@@ -20,7 +20,6 @@ Public surface:
 * :class:`ReplicationTask` — picklable spec of one simulation run;
 * :func:`run_task` — execute one task (also the worker entry point);
 * :func:`run_tasks` — execute a batch, optionally parallel and cached;
-* :func:`simulate_many` — the batch analogue of ``common.simulate``;
 * :func:`resolve_jobs` — normalize a ``--jobs`` value to a worker count;
 * :class:`RunProgress` / :func:`progress_reporting` — live progress:
   ``run_tasks`` invokes a callback as each task resolves (from cache or
@@ -328,37 +327,6 @@ def run_tasks(
     return results  # type: ignore[return-value]
 
 
-def simulate_many(
-    pairs: Sequence[Tuple[SystemConfig, str]],
-    settings: RunSettings,
-    *,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressCallback] = None,
-):
-    """Run many (config, policy) cells, averaged over replications each.
-
-    The batch analogue of :func:`repro.experiments.common.simulate`: all
-    replications of all cells fan out together (maximizing pool
-    utilization), then each cell's runs are reassembled in replication
-    order and averaged.  Returns one
-    :class:`~repro.experiments.common.AveragedResults` per pair, in pair
-    order, bit-identical to calling ``simulate`` serially per pair.
-    """
-    from repro.experiments.common import average_results
-
-    tasks: List[ReplicationTask] = []
-    spans: List[Tuple[int, int, str]] = []
-    for config, policy in pairs:
-        start = len(tasks)
-        tasks.extend(replication_tasks(config, policy, settings))
-        spans.append((start, len(tasks), policy))
-    runs = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
-    return [
-        average_results(policy, runs[start:stop]) for start, stop, policy in spans
-    ]
-
-
 __all__ = [
     "EXTENSION_KINDS",
     "SYSTEM_KINDS",
@@ -370,5 +338,4 @@ __all__ = [
     "resolve_jobs",
     "run_task",
     "run_tasks",
-    "simulate_many",
 ]

@@ -18,14 +18,16 @@ The ``repro-experiments`` CLI generates its subcommands from
 :func:`all_experiments` — registering an experiment here is the single
 step that wires it into both.
 
-The registry imports every experiment module, and those modules import
-:mod:`repro.experiments.report` for :class:`~repro.experiments.report.TextTable`,
-so the report module must import *this* one lazily (it does).
+Every simulated experiment runs the same way: build its catalog study
+(:func:`repro.ablation.build_study`), run it, and hand the outcome to
+the module that renders it.  The registry imports those modules lazily,
+and the report module imports *this* one lazily, so importing the
+registry stays cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Tuple
 
 from repro.experiments.context import StudyContext
@@ -67,25 +69,6 @@ class Experiment:
         return self.runner(settings, context)
 
 
-def _table_runner(module_name: str) -> ExperimentRunner:
-    """Runner for the uniform simulation modules.
-
-    Each has ``run_experiment(settings, *, context)`` and
-    ``format_table(result)``; the module is imported lazily so that
-    importing the registry stays cheap until an experiment actually runs.
-    """
-
-    def run(settings: RunSettings, context: StudyContext) -> str:
-        import importlib
-
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        return module.format_table(
-            module.run_experiment(settings, context=context)
-        )
-
-    return run
-
-
 def _analytic_runner(module_name: str) -> ExperimentRunner:
     """Runner for the analytic tables (``run_experiment()`` takes nothing)."""
 
@@ -111,31 +94,33 @@ def _validation_runner() -> ExperimentRunner:
     return run
 
 
-def _ablation_runner(sweep_name: str, formatter_name: str) -> ExperimentRunner:
-    """Runner for the ablation sweeps in :mod:`repro.experiments.ablations`."""
+def _study_runner(
+    study_name: str, renderer: str, *, one_replication: bool = False
+) -> ExperimentRunner:
+    """Runner of a catalog study: build it, run it, render it.
+
+    *renderer* is ``"module:function"``, imported lazily so that
+    importing the registry stays cheap until an experiment actually runs.
+    ``one_replication`` runs every cell once whatever the scale preset
+    says (the ablation sweeps always did).
+    """
 
     def run(settings: RunSettings, context: StudyContext) -> str:
-        from repro.experiments import ablations
+        import importlib
 
-        sweep = getattr(ablations, sweep_name)
-        formatter = getattr(ablations, formatter_name)
-        return formatter(sweep(settings, context=context))
+        from repro.ablation import build_study, run_study
+
+        if one_replication:
+            settings = replace(settings, replications=1)
+        module_name, function = renderer.split(":")
+        module = importlib.import_module(module_name)
+        outcome = run_study(build_study(study_name, settings), context=context)
+        return getattr(module, function)(outcome)
 
     return run
 
 
-def _study_runner(study_name: str) -> ExperimentRunner:
-    """Runner that executes a catalog study and renders its ranked report."""
-
-    def run(settings: RunSettings, context: StudyContext) -> str:
-        from repro.ablation import build_study, render_study_report, run_study
-
-        spec = build_study(study_name, settings)
-        outcome = run_study(spec, context=context)
-        return render_study_report(outcome)
-
-    return run
-
+_ABLATIONS = "repro.experiments.ablations"
 
 #: Registration order is report order: analytic foundations first, then
 #: the paper's simulation tables, then extensions, then ablations.
@@ -156,51 +141,53 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         name="table8",
-        title="Table 8 — Primary simulation comparison",
-        description="all policies on the paper's base configuration",
-        runner=_table_runner("table8"),
+        title="Table 8 — Think-time sensitivity",
+        description="policy improvements across think times (site.think_time)",
+        runner=_study_runner("table8", "repro.experiments.table8:format_table"),
     ),
     Experiment(
         name="table9",
         title="Table 9 — MPL sensitivity",
-        description="policy improvements across multiprogramming levels",
-        runner=_table_runner("table9"),
+        description="policy improvements across multiprogramming levels (site.mpl)",
+        runner=_study_runner("table9", "repro.experiments.table9:format_table"),
     ),
     Experiment(
         name="table10",
-        title="Table 10 — Load sensitivity",
-        description="policy improvements across think times",
-        runner=_table_runner("table10"),
+        title="Table 10 — System capacity",
+        description="max mpl per response-time bound, LOCAL vs LERT (site.mpl)",
+        runner=_study_runner("table10", "repro.experiments.table10:format_table"),
     ),
     Experiment(
         name="table11",
         title="Table 11 — Scaling with the number of sites",
-        description="policy improvements as the fleet grows",
-        runner=_table_runner("table11"),
+        description="policy improvements as the fleet grows (num_sites)",
+        runner=_study_runner("table11", "repro.experiments.table11:format_table"),
     ),
     Experiment(
         name="table12",
-        title="Table 12 — CPU/disk demand ratio",
-        description="policy improvements across resource-demand mixes",
-        runner=_table_runner("table12"),
+        title="Table 12 — Class mix and fairness",
+        description="W and fairness F across class_io_prob (class_probs)",
+        runner=_study_runner("table12", "repro.experiments.table12:format_table"),
     ),
     Experiment(
         name="msg",
-        title="Message-cost sensitivity",
-        description="policy improvements as message CPU cost grows",
-        runner=_table_runner("msg_sensitivity"),
+        title="Message-length sensitivity",
+        description="BNQRD and LERT vs BNQ as messages grow (network.msg_length)",
+        runner=_study_runner(
+            "msg", "repro.experiments.msg_sensitivity:format_table"
+        ),
     ),
     Experiment(
         name="failures",
         title="Site failures and recovery",
         description="policies under a crash/recovery fault plan",
-        runner=_table_runner("failure"),
+        runner=_study_runner("failures", "repro.experiments.failure:format_table"),
     ),
     Experiment(
         name="open",
         title="Open-system workloads",
         description="policies under open arrivals with admission control",
-        runner=_table_runner("open_system"),
+        runner=_study_runner("open", "repro.experiments.open_system:format_table"),
     ),
     Experiment(
         name="validation",
@@ -212,33 +199,41 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
         name="ablation-stale",
         title="Ablation A2 — load-information staleness",
         description="LERT's advantage as load snapshots go stale",
-        runner=_ablation_runner("stale_info_sweep", "format_stale_info"),
+        runner=_study_runner(
+            "stale-info", f"{_ABLATIONS}:format_stale_info", one_replication=True
+        ),
     ),
     Experiment(
         name="ablation-disk",
         title="Ablation A1 — disk organization",
         description="per-disk queues vs one shared disk queue",
-        runner=_ablation_runner(
-            "disk_organization_study", "format_disk_organization"
+        runner=_study_runner(
+            "disk-organization", f"{_ABLATIONS}:format_disk_organization", one_replication=True
         ),
     ),
     Experiment(
         name="ablation-updates",
         title="Ablation — update fraction",
         description="read-only assumption relaxed via update propagation",
-        runner=_ablation_runner("update_fraction_sweep", "format_update_fraction"),
+        runner=_study_runner(
+            "update-fraction", f"{_ABLATIONS}:format_update_fraction", one_replication=True
+        ),
     ),
     Experiment(
         name="ablation-heterogeneous",
         title="Ablation — heterogeneous CPU speeds",
         description="policies on a fleet with unequal CPU speeds",
-        runner=_ablation_runner("heterogeneity_study", "format_heterogeneity"),
+        runner=_study_runner(
+            "heterogeneity", f"{_ABLATIONS}:format_heterogeneity", one_replication=True
+        ),
     ),
     Experiment(
         name="ablation-subnet",
         title="Ablation — subnet topology",
         description="Table 11's sweep on a ring vs a point-to-point mesh",
-        runner=_ablation_runner("subnet_scaling_study", "format_subnet_scaling"),
+        runner=_study_runner(
+            "subnet-scaling", f"{_ABLATIONS}:format_subnet_scaling", one_replication=True
+        ),
     ),
     Experiment(
         name="study-core",
@@ -247,7 +242,9 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
             "ranked A1-A4 component importance from the committed core "
             "StudySpec"
         ),
-        runner=_study_runner("core"),
+        runner=_study_runner(
+            "core", "repro.ablation.report:render_study_report"
+        ),
     ),
 )
 

@@ -1,25 +1,30 @@
-"""Generic parameter sweeps with CSV export.
+"""Config patches by dotted path, and CSV export of a grid study.
 
-The table modules reproduce the paper's exact sweeps; this module is the
-general tool for everything else: sweep any config dimension against any
-set of policies, collect :class:`~repro.experiments.common.AveragedResults`
-per cell, and export a flat CSV for external analysis.
+A sweep is a grid study (:func:`~repro.ablation.catalog.grid_study`):
+named points — here, values of one config parameter — crossed with
+policies.  This module holds the two pieces a sweep needs besides the
+grid itself:
+
+* :func:`set_config_parameter` — the one place a config patch is applied
+  (study variants, grid points).  Parameters are addressed by dotted path
+  into the config dataclasses (``"site.mpl"``, ``"network.msg_length"``,
+  ``"num_sites"``, ...), and each patched value is checked against the
+  field's type exactly as a config file would be.
+* :func:`write_csv` — one row per executed cell of a one-parameter grid.
 
 Example — how does the paper's story change with slower disks?::
 
-    spec = SweepSpec(
-        name="disk-speed",
-        base=paper_defaults(),
-        parameter="site.disk_time",
-        values=(0.5, 1.0, 2.0),
+    spec = grid_study(
+        "disk-speed",
+        config=paper_defaults(),
+        settings=STANDARD,
+        points=[
+            (f"{t:g}", {"config_patches": (("site.disk_time", t),)})
+            for t in (0.5, 1.0, 2.0)
+        ],
         policies=("LOCAL", "BNQ", "LERT"),
     )
-    result = run_sweep(spec, STANDARD)
-    write_csv(result, "disk_speed.csv")
-
-Parameters are addressed by dotted path into the config dataclasses
-(``"site.mpl"``, ``"network.msg_length"``, ``"num_sites"``, ...); the sweep
-rebuilds a frozen config per value with :func:`dataclasses.replace`.
+    write_csv(GridOutcome(run_study(spec)), "disk_speed.csv")
 """
 
 from __future__ import annotations
@@ -27,14 +32,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import pathlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Union
 
-from repro.experiments.common import AveragedResults
-from repro.experiments.context import StudyContext
-from repro.experiments.parallel import simulate_many
-from repro.experiments.runconfig import STANDARD, RunSettings
+from repro.codec import check_field
 from repro.model.config import SystemConfig
+
+if TYPE_CHECKING:
+    from repro.ablation.catalog import GridOutcome
 
 
 def set_config_parameter(
@@ -43,13 +47,16 @@ def set_config_parameter(
     """Return a copy of *config* with the dotted-path field replaced.
 
     Supports one level of nesting (``section.field``) over the frozen
-    dataclass structure; top-level fields use the bare name.
+    dataclass structure; top-level fields use the bare name.  An unknown
+    path is a ``KeyError``; a value of the wrong type is a
+    :class:`~repro.codec.ConfigError` naming *dotted_path*.
     """
     parts = dotted_path.split(".")
     if len(parts) == 1:
         field = parts[0]
         if field not in {f.name for f in dataclasses.fields(config)}:
             raise KeyError(f"SystemConfig has no field {field!r}")
+        value = check_field(type(config), field, value, dotted_path)
         return dataclasses.replace(config, **{field: value})
     if len(parts) == 2:
         section_name, field = parts
@@ -60,79 +67,11 @@ def set_config_parameter(
             raise KeyError(f"{section_name!r} is not a nested config section")
         if field not in {f.name for f in dataclasses.fields(section)}:
             raise KeyError(f"{section_name} has no field {field!r}")
+        value = check_field(type(section), field, value, dotted_path)
         return dataclasses.replace(
             config, **{section_name: dataclasses.replace(section, **{field: value})}
         )
     raise KeyError(f"unsupported parameter path {dotted_path!r}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Declarative description of a one-dimensional sweep."""
-
-    name: str
-    base: SystemConfig
-    parameter: str
-    values: Tuple[Any, ...]
-    policies: Tuple[str, ...] = ("LOCAL", "BNQ", "LERT")
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("a sweep needs at least one value")
-        if not self.policies:
-            raise ValueError("a sweep needs at least one policy")
-        # Fail fast on typos before burning simulation time.
-        set_config_parameter(self.base, self.parameter, self.values[0])
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All cells of one sweep."""
-
-    spec: SweepSpec
-    settings: RunSettings
-    cells: Dict[Tuple[Any, str], AveragedResults]
-
-    def result(self, value: Any, policy: str) -> AveragedResults:
-        return self.cells[(value, policy)]
-
-    def series(self, policy: str, metric: str = "mean_waiting_time") -> List[float]:
-        """One policy's metric across the swept values, in order."""
-        return [
-            getattr(self.cells[(value, policy)], metric)
-            for value in self.spec.values
-        ]
-
-
-def run_sweep(
-    spec: SweepSpec,
-    settings: RunSettings = STANDARD,
-    *,
-    context: StudyContext = StudyContext(),
-) -> SweepResult:
-    """Execute the sweep (common random numbers across policies per cell).
-
-    *context* carries the execution options: ``context.jobs`` fans the
-    cells (and their replications) over a process pool and
-    ``context.cache`` reuses previously simulated cells.  Results are
-    identical to a serial, uncached run in all cases.
-    """
-    keys: List[Tuple[Any, str]] = []
-    pairs: List[Tuple[SystemConfig, str]] = []
-    for value in spec.values:
-        config = set_config_parameter(spec.base, spec.parameter, value)
-        for policy in spec.policies:
-            keys.append((value, policy))
-            pairs.append((config, policy))
-    averaged = simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    )
-    cells: Dict[Tuple[Any, str], AveragedResults] = dict(zip(keys, averaged))
-    return SweepResult(spec=spec, settings=settings, cells=cells)
 
 
 #: Columns exported per cell, in order.
@@ -152,37 +91,40 @@ CSV_COLUMNS = (
 )
 
 
-def write_csv(result: SweepResult, path: Union[str, pathlib.Path]) -> None:
-    """Export every cell as one CSV row (columns: :data:`CSV_COLUMNS`)."""
+def write_csv(grid: "GridOutcome", path: Union[str, pathlib.Path]) -> None:
+    """Export every cell of a one-parameter grid as one CSV row.
+
+    Rows follow the grid's point-major order; ``parameter`` is the one
+    config path the grid's points patch and ``value`` its value in the
+    cell (columns: :data:`CSV_COLUMNS`).
+    """
+    spec = grid.outcome.spec
+    parameter = grid.parameter()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for value in result.spec.values:
-            for policy in result.spec.policies:
-                cell = result.cells[(value, policy)]
+        for point in grid.points:
+            value = grid.config(point)
+            for part in parameter.split("."):
+                value = getattr(value, part)
+            for policy in grid.policies:
+                m = grid.cell(point, policy).metrics
                 writer.writerow(
                     [
-                        result.spec.name,
-                        result.spec.parameter,
+                        spec.name,
+                        parameter,
                         value,
                         policy,
-                        f"{cell.mean_waiting_time:.6g}",
-                        f"{cell.mean_response_time:.6g}",
-                        "" if cell.fairness is None else f"{cell.fairness:.6g}",
-                        f"{cell.subnet_utilization:.6g}",
-                        f"{cell.cpu_utilization:.6g}",
-                        f"{cell.disk_utilization:.6g}",
-                        f"{cell.remote_fraction:.6g}",
-                        cell.completions,
+                        f"{m.waiting_time:.6g}",
+                        f"{m.response_time:.6g}",
+                        "" if m.fairness is None else f"{m.fairness:.6g}",
+                        f"{m.subnet_utilization:.6g}",
+                        f"{m.cpu_utilization:.6g}",
+                        f"{m.disk_utilization:.6g}",
+                        f"{m.remote_fraction:.6g}",
+                        m.completions,
                     ]
                 )
 
 
-__all__ = [
-    "SweepSpec",
-    "SweepResult",
-    "set_config_parameter",
-    "run_sweep",
-    "write_csv",
-    "CSV_COLUMNS",
-]
+__all__ = ["set_config_parameter", "write_csv", "CSV_COLUMNS"]

@@ -11,7 +11,7 @@ it::
       "errors": [],
       "violations": [
         {"code": "RL004", "column": 15, "line": 81,
-         "message": "...", "path": "src/repro/experiments/common.py"}
+         "message": "...", "path": "src/repro/experiments/sweep.py"}
       ]
     }
 """

@@ -43,7 +43,7 @@ AGGREGATION_SCOPE: Tuple[str, ...] = (
     "repro.sim.stats",
     "repro.sim.monitor",
     "repro.model.metrics",
-    "repro.experiments.common",
+    "repro.ablation.study",
     "repro.experiments.parallel",
 )
 

@@ -23,6 +23,14 @@ class TestBuilders:
             "heterogeneity",
             "subnet-scaling",
             "smoke",
+            "table8",
+            "table9",
+            "table10",
+            "table11",
+            "table12",
+            "msg",
+            "failures",
+            "open",
         )
 
     @pytest.mark.parametrize("name", study_names())

@@ -25,7 +25,7 @@ from repro.experiments.cache import (
     canonical_json,
     default_cache_dir,
 )
-from repro.experiments.common import simulate
+from repro.ablation.study import simulate
 from repro.experiments.parallel import replication_tasks, run_tasks
 from repro.experiments.runconfig import RunSettings
 from repro.model.config import paper_defaults

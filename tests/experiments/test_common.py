@@ -1,15 +1,12 @@
-"""Unit tests for the shared experiment machinery."""
+"""Unit tests for the shared experiment machinery: tables, gains, one cell."""
 
 import math
 
 import pytest
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-    simulate,
-)
+from repro.ablation.study import MetricSet, simulate
+from repro.experiments.parallel import replication_tasks, run_tasks
+from repro.experiments.report import TextTable, improvement_pct
 from repro.experiments.runconfig import RunSettings
 
 
@@ -50,11 +47,10 @@ class TestSimulate:
     def test_replications_are_averaged(self, tiny_config):
         settings = RunSettings(warmup=100.0, duration=400.0, replications=2, base_seed=1)
         result = simulate(tiny_config, "BNQ", settings)
-        assert len(result.per_replication) == 2
-        expected = sum(
-            r.mean_waiting_time for r in result.per_replication
-        ) / 2
-        assert result.mean_waiting_time == pytest.approx(expected)
+        runs = run_tasks(replication_tasks(tiny_config, "BNQ", settings))
+        assert len(runs) == 2
+        expected = sum(r.mean_waiting_time for r in runs) / 2
+        assert result.waiting_time == pytest.approx(expected)
 
     def test_common_random_numbers_across_policies(self, tiny_config):
         settings = RunSettings(warmup=100.0, duration=400.0, replications=1, base_seed=9)
@@ -62,7 +58,7 @@ class TestSimulate:
         # completions differ only through queueing, not workload.
         a = simulate(tiny_config, "LOCAL", settings)
         b = simulate(tiny_config, "LOCAL", settings)
-        assert a.mean_waiting_time == b.mean_waiting_time
+        assert a.waiting_time == b.waiting_time
 
     def test_rho_ratio(self, tiny_config):
         settings = RunSettings(warmup=100.0, duration=400.0, replications=1)
@@ -72,18 +68,18 @@ class TestSimulate:
         )
 
 
-def _averaged_with_utilizations(cpu: float, disk: float) -> AveragedResults:
-    return AveragedResults(
-        policy="LOCAL",
-        mean_waiting_time=0.0,
-        mean_response_time=0.0,
+def _averaged_with_utilizations(cpu: float, disk: float) -> MetricSet:
+    return MetricSet(
+        response_time=0.0,
+        waiting_time=0.0,
         fairness=None,
+        availability=1.0,
+        shed_rate=0.0,
         subnet_utilization=0.0,
         cpu_utilization=cpu,
         disk_utilization=disk,
         remote_fraction=0.0,
         completions=0,
-        per_replication=(),
     )
 
 

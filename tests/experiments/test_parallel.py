@@ -12,6 +12,9 @@ import random
 
 import pytest
 
+from repro.ablation import catalog
+from repro.ablation.catalog import GridOutcome, grid_study
+from repro.ablation.study import metrics_from_runs, run_study, simulate
 from repro.experiments import (
     ablations,
     msg_sensitivity,
@@ -21,7 +24,6 @@ from repro.experiments import (
     table11,
     table12,
 )
-from repro.experiments.common import average_results, simulate
 from repro.experiments.context import StudyContext
 from repro.experiments.parallel import (
     ReplicationTask,
@@ -29,10 +31,8 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_task,
     run_tasks,
-    simulate_many,
 )
 from repro.experiments.runconfig import QUICK, RunSettings
-from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.model.config import paper_defaults
 
 #: Short but real runs: full paper-defaults systems, reduced horizons.
@@ -91,11 +91,19 @@ class TestSimulateEquivalence:
         parallel = simulate(tiny_config, "BNQ", SMALL3, jobs=4)
         assert serial == parallel  # exact dataclass equality, incl. CIs
 
-    def test_simulate_many_matches_individual_simulate(self, tiny_config):
-        pairs = [(tiny_config, "LOCAL"), (tiny_config, "BNQ")]
-        batch = simulate_many(pairs, SMALL, jobs=4)
-        assert batch[0] == simulate(tiny_config, "LOCAL", SMALL)
-        assert batch[1] == simulate(tiny_config, "BNQ", SMALL)
+    def test_grid_cells_match_individual_simulate(self, tiny_config):
+        spec = grid_study(
+            "pair",
+            config=tiny_config,
+            settings=SMALL,
+            points=[("tiny", {})],
+            policies=("LOCAL", "BNQ"),
+        )
+        grid = GridOutcome(run_study(spec, context=StudyContext(jobs=4)))
+        assert grid.cell("tiny", "LOCAL").metrics == simulate(
+            tiny_config, "LOCAL", SMALL
+        )
+        assert grid.cell("tiny", "BNQ").metrics == simulate(tiny_config, "BNQ", SMALL)
 
     def test_parallel_runs_are_repeatable(self, tiny_config):
         tasks = replication_tasks(tiny_config, "LERT", SMALL3)
@@ -120,99 +128,98 @@ class TestAveragingOrderIndependence:
     def test_fsum_averaging_is_permutation_invariant(self, tiny_config):
         tasks = replication_tasks(tiny_config, "BNQ", SMALL3)
         runs = run_tasks(tasks, jobs=1)
-        baseline = average_results("BNQ", runs)
+        baseline = metrics_from_runs(runs)
         rng = random.Random(0)
         for _ in range(5):
             shuffled = list(runs)
             rng.shuffle(shuffled)
-            permuted = average_results("BNQ", shuffled)
+            permuted = metrics_from_runs(shuffled)
             # Averages are exactly equal under permutation...
-            assert permuted.mean_waiting_time == baseline.mean_waiting_time
-            assert permuted.mean_response_time == baseline.mean_response_time
+            assert permuted.waiting_time == baseline.waiting_time
+            assert permuted.response_time == baseline.response_time
             assert permuted.fairness == baseline.fairness
             assert permuted.subnet_utilization == baseline.subnet_utilization
             assert permuted.cpu_utilization == baseline.cpu_utilization
             assert permuted.disk_utilization == baseline.disk_utilization
             assert permuted.remote_fraction == baseline.remote_fraction
             assert permuted.completions == baseline.completions
-        # ...while per_replication preserves the order given.
-        assert baseline.per_replication == tuple(runs)
-
-    def test_average_results_requires_runs(self):
-        with pytest.raises(ValueError):
-            average_results("LOCAL", [])
+        # ...while the runner returns replications in task order.
+        assert run_tasks(tasks, jobs=2) == runs
 
 
-#: (module, run_experiment kwargs) — reduced grids keep the suite fast while
-#: still exercising every simulated table module through the pool.
+#: (study builder, renderer module, grid kwargs) — reduced grids keep the
+#: suite fast while still exercising every simulated table through the pool.
 TABLE_CASES = [
-    pytest.param(table8, {"think_times": (150.0,)}, id="table8"),
-    pytest.param(table9, {"mpl_values": (15,)}, id="table9"),
-    pytest.param(table10, {"mpl_grid": (6, 10)}, id="table10"),
-    pytest.param(table11, {"site_counts": (2, 4)}, id="table11"),
-    pytest.param(table12, {"io_probs": (0.4,)}, id="table12"),
-    pytest.param(msg_sensitivity, {"msg_lengths": (0.5, 2.0)}, id="msg"),
+    pytest.param(catalog.table8_study, table8, {"think_times": (150.0,)}, id="table8"),
+    pytest.param(catalog.table9_study, table9, {"mpl_values": (15,)}, id="table9"),
+    pytest.param(catalog.table10_study, table10, {"mpl_grid": (6, 10)}, id="table10"),
+    pytest.param(catalog.table11_study, table11, {"site_counts": (2, 4)}, id="table11"),
+    pytest.param(catalog.table12_study, table12, {"io_probs": (0.4,)}, id="table12"),
+    pytest.param(
+        catalog.msg_study, msg_sensitivity, {"msg_lengths": (0.5, 2.0)}, id="msg"
+    ),
 ]
 
 
 JOBS4 = StudyContext(jobs=4)
 
 
+def both(spec, context=JOBS4):
+    """The study run serially and under *context*."""
+    return run_study(spec), run_study(spec, context=context)
+
+
 class TestTableEquivalence:
-    @pytest.mark.parametrize("module, kwargs", TABLE_CASES)
-    def test_jobs4_bit_identical_to_serial(self, module, kwargs):
-        serial = module.run_experiment(SMALL, **kwargs)
-        parallel = module.run_experiment(SMALL, **kwargs, context=JOBS4)
+    @pytest.mark.parametrize("build, module, kwargs", TABLE_CASES)
+    def test_jobs4_bit_identical_to_serial(self, build, module, kwargs):
+        serial, parallel = both(build(SMALL, **kwargs))
         assert serial == parallel
         assert module.format_table(serial) == module.format_table(parallel)
 
     def test_table9_quick_scale_equivalence(self):
         """One case at the real ``quick`` preset (the satellite contract)."""
-        serial = table9.run_experiment(QUICK, mpl_values=(15,))
-        parallel = table9.run_experiment(QUICK, mpl_values=(15,), context=JOBS4)
+        serial, parallel = both(catalog.table9_study(QUICK, mpl_values=(15,)))
         assert serial == parallel
 
 
 class TestSweepEquivalence:
-    def test_run_sweep_jobs_identical(self):
-        spec = SweepSpec(
-            name="mpl",
-            base=paper_defaults(num_sites=3, mpl=4, think_time=50.0),
-            parameter="site.mpl",
-            values=(3, 5),
+    def test_grid_study_jobs_identical(self):
+        spec = grid_study(
+            "mpl",
+            config=paper_defaults(num_sites=3, mpl=4, think_time=50.0),
+            settings=SMALL,
+            points=[(str(v), {"config_patches": (("site.mpl", v),)}) for v in (3, 5)],
             policies=("LOCAL", "BNQ"),
         )
-        serial = run_sweep(spec, SMALL)
-        parallel = run_sweep(spec, SMALL, context=JOBS4)
-        assert serial.cells == parallel.cells
-        assert serial.series("LOCAL") == parallel.series("LOCAL")
+        serial, parallel = both(spec)
+        assert serial.all_cells() == parallel.all_cells()
+        serial_grid, parallel_grid = GridOutcome(serial), GridOutcome(parallel)
+        assert [serial_grid.waiting(p, "LOCAL") for p in ("3", "5")] == [
+            parallel_grid.waiting(p, "LOCAL") for p in ("3", "5")
+        ]
 
 
 class TestAblationEquivalence:
     def test_stale_info_sweep(self):
-        serial = ablations.stale_info_sweep(SMALL, intervals=(0.0, 25.0))
-        parallel = ablations.stale_info_sweep(
-            SMALL, intervals=(0.0, 25.0), context=JOBS4
-        )
+        serial, parallel = both(catalog.stale_info_study(SMALL, intervals=(0.0, 25.0)))
         assert serial == parallel
+        assert ablations.stale_waits(serial) == ablations.stale_waits(parallel)
 
     def test_update_fraction_sweep(self):
-        serial = ablations.update_fraction_sweep(SMALL, fractions=(0.0, 0.2))
-        parallel = ablations.update_fraction_sweep(
-            SMALL, fractions=(0.0, 0.2), context=JOBS4
+        serial, parallel = both(
+            catalog.update_fraction_study(SMALL, fractions=(0.0, 0.2))
         )
         assert serial == parallel
 
     def test_heterogeneity_study(self):
-        serial = ablations.heterogeneity_study(SMALL, speed_factors=(0.5, 2.0))
-        parallel = ablations.heterogeneity_study(
-            SMALL, speed_factors=(0.5, 2.0), context=JOBS4
+        serial, parallel = both(
+            catalog.heterogeneity_study_spec(SMALL, speed_factors=(0.5, 2.0))
         )
         assert serial == parallel
 
     def test_disk_organization_study(self):
-        serial = ablations.disk_organization_study(SMALL, policies=("LOCAL",))
-        parallel = ablations.disk_organization_study(
-            SMALL, policies=("LOCAL",), context=StudyContext(jobs=2)
+        serial, parallel = both(
+            catalog.disk_organization_study_spec(SMALL, policies=("LOCAL",)),
+            StudyContext(jobs=2),
         )
         assert serial == parallel

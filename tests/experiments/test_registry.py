@@ -49,3 +49,31 @@ class TestRegistry:
     def test_analytic_run_ignores_settings_and_context(self):
         output = get_experiment("table5").run()
         assert "Table 5" in output
+
+    def test_descriptions_name_the_swept_parameter(self):
+        """Each simulated table's help text names what its grid varies."""
+        swept = {
+            "table8": "site.think_time",
+            "table9": "site.mpl",
+            "table10": "site.mpl",
+            "table11": "num_sites",
+            "table12": "class_probs",
+            "msg": "network.msg_length",
+        }
+        for name, parameter in swept.items():
+            assert parameter in get_experiment(name).description, name
+        assert "capacity" in get_experiment("table10").title.lower()
+        assert "response-time bound" in get_experiment("table10").description
+        assert "think" in get_experiment("table8").title.lower()
+        assert "fairness" in get_experiment("table12").title.lower()
+        assert "length" in get_experiment("msg").title.lower()
+
+    def test_grid_studies_patch_the_named_parameter(self):
+        """The registry text and the study it runs agree."""
+        from repro.ablation import build_study
+
+        for name in ("table8", "table9", "table10", "table11", "table12", "msg"):
+            (component,) = build_study(name).components
+            paths = {p for v in component.variants for p, _ in v.config_patches}
+            (path,) = paths
+            assert path in get_experiment(name).description

@@ -78,7 +78,7 @@ class TestGenerate:
             generate_report(TINY, sections=["Table 99"])
 
     def test_simulated_section_runs(self):
-        text = generate_report(TINY, sections=["Message-cost"])
+        text = generate_report(TINY, sections=["Message-length"])
         assert "msg_length" in text
 
 

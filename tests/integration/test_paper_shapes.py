@@ -6,7 +6,7 @@ enough for the qualitative results to be stable under the fixed seed.
 
 import pytest
 
-from repro.experiments.common import simulate
+from repro.ablation.study import simulate
 from repro.experiments.runconfig import RunSettings
 from repro.model.config import paper_defaults
 
@@ -25,25 +25,25 @@ def default_runs():
 @pytest.mark.slow
 class TestHeadlineOrdering:
     def test_dynamic_allocation_beats_local(self, default_runs):
-        w_local = default_runs["LOCAL"].mean_waiting_time
+        w_local = default_runs["LOCAL"].waiting_time
         for policy in ("BNQ", "BNQRD", "LERT"):
-            assert default_runs[policy].mean_waiting_time < w_local
+            assert default_runs[policy].waiting_time < w_local
 
     def test_information_beats_count_balancing(self, default_runs):
-        w_bnq = default_runs["BNQ"].mean_waiting_time
-        assert default_runs["BNQRD"].mean_waiting_time < w_bnq
-        assert default_runs["LERT"].mean_waiting_time < w_bnq
+        w_bnq = default_runs["BNQ"].waiting_time
+        assert default_runs["BNQRD"].waiting_time < w_bnq
+        assert default_runs["LERT"].waiting_time < w_bnq
 
     def test_improvement_magnitude_in_papers_band(self, default_runs):
         # Paper Table 8 @ think 350: 38-44% improvement over LOCAL.
-        w_local = default_runs["LOCAL"].mean_waiting_time
-        w_lert = default_runs["LERT"].mean_waiting_time
+        w_local = default_runs["LOCAL"].waiting_time
+        w_lert = default_runs["LERT"].waiting_time
         improvement = (w_local - w_lert) / w_local
         assert 0.25 < improvement < 0.60
 
     def test_local_waiting_magnitude(self, default_runs):
         # Paper: W_LOCAL = 22.71 at these settings; generous band.
-        assert 14.0 < default_runs["LOCAL"].mean_waiting_time < 32.0
+        assert 14.0 < default_runs["LOCAL"].waiting_time < 32.0
 
     def test_utilizations_match_paper_rho(self, default_runs):
         # Paper: rho_c = 0.53 at think 350.

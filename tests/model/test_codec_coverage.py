@@ -20,7 +20,7 @@ import pytest
 from repro import codec
 from repro.ablation.spec import BaselineRun, Component, StudySpec, Variant
 from repro.codec import decode, encode
-from repro.experiments.common import AveragedResults
+from repro.ablation.study import MetricSet
 from repro.experiments.parallel import ReplicationTask
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan, MessageFaults, SiteOutage
@@ -37,7 +37,7 @@ ROOTS = (
     FaultPlan,
     WorkloadSpec,
     SystemResults,
-    AveragedResults,
+    MetricSet,
     StudySpec,
     ReplicationTask,
     Span,

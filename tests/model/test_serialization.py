@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.codec import decode, encode
-from repro.experiments.common import AveragedResults
+from repro.ablation.study import MetricSet
 from repro.model.config import ConfigError, NetworkSpec, paper_defaults
 from repro.model.metrics import SystemResults
 from repro.model.serialization import (
@@ -166,13 +166,13 @@ class TestResultsRoundTrip:
         assert results_from_dict(data) == results
 
     def test_real_simulation_results_round_trip(self, tiny_config):
-        from repro.experiments.common import simulate
+        from repro.experiments.parallel import replication_tasks, run_task
         from repro.experiments.runconfig import RunSettings
 
         settings = RunSettings(
             warmup=150.0, duration=600.0, replications=1, base_seed=42
         )
-        run = simulate(tiny_config, "LOCAL", settings).per_replication[0]
+        run = run_task(replication_tasks(tiny_config, "LOCAL", settings)[0])
         data = json.loads(json.dumps(results_to_dict(run)))
         assert results_from_dict(data) == run
 
@@ -253,35 +253,37 @@ class TestTracingSummariesRoundTrip:
 
 
 class TestAveragedResultsRoundTrip:
+    """The replication aggregate (:class:`MetricSet`) through the codec."""
+
     def _averaged(self):
-        from repro.experiments.common import average_results
+        from repro.ablation.study import metrics_from_runs
 
         runs = [make_results(), make_results(fairness=0.25, with_ci=False)]
-        return average_results("LERT", runs)
+        return metrics_from_runs(runs)
 
     def test_round_trip(self):
         averaged = self._averaged()
-        rebuilt = decode(AveragedResults, encode(averaged))
+        rebuilt = decode(MetricSet, encode(averaged))
         assert rebuilt == averaged
-        assert rebuilt.per_replication == averaged.per_replication
+        assert rebuilt.completions == averaged.completions
 
     def test_survives_json_round_trip(self):
         averaged = self._averaged()
         data = json.loads(json.dumps(encode(averaged)))
-        assert decode(AveragedResults, data) == averaged
+        assert decode(MetricSet, data) == averaged
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            decode(AveragedResults, 17)
+            decode(MetricSet, 17)
 
     def test_unknown_version(self):
         data = encode(self._averaged())
         data["format_version"] = RESULTS_FORMAT_VERSION + 1
         with pytest.raises(ConfigError):
-            decode(AveragedResults, data)
+            decode(MetricSet, data)
 
     def test_missing_key(self):
         data = encode(self._averaged())
-        del data["per_replication"]
+        del data["completions"]
         with pytest.raises(ConfigError):
-            decode(AveragedResults, data)
+            decode(MetricSet, data)

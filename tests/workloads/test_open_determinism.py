@@ -251,32 +251,32 @@ class TestCacheSeparation:
 
 class TestOpenSystemExperiment:
     def test_grid_runs_and_checks_shed_ordering(self, tmp_path):
+        from repro.ablation.catalog import GridOutcome, open_study
+        from repro.ablation.study import run_study
         from repro.experiments import open_system
 
         settings = RunSettings(warmup=50.0, duration=300.0, replications=1)
-        result = open_system.run_experiment(
-            settings,
-            load_factors=(1.2,),
-            kinds=("poisson",),
+        outcome = run_study(
+            open_study(settings, load_factors=(1.2,), kinds=("poisson",)),
             context=StudyContext(cache=ResultCache(tmp_path / "cache")),
         )
-        assert len(result.cells) == len(open_system.POLICIES)
-        assert result.load_sharing_sheds_less_past_saturation()
-        table = open_system.format_table(result)
+        grid = GridOutcome(outcome)
+        assert len(outcome.all_cells()) == len(grid.policies) == 4
+        assert open_system.load_sharing_sheds_less_past_saturation(grid)
+        table = open_system.format_table(outcome)
         assert "shed%" in table
 
     def test_grid_replays_from_cache(self, tmp_path):
+        from repro.ablation.catalog import open_study
+        from repro.ablation.study import run_study
         from repro.experiments import open_system
 
         settings = RunSettings(warmup=50.0, duration=200.0, replications=1)
         cache = ResultCache(tmp_path / "cache")
-        kwargs = dict(
-            load_factors=(0.8,),
-            kinds=("mmpp",),
-            context=StudyContext(cache=cache),
-        )
-        first = open_system.run_experiment(settings, **kwargs)
-        second = open_system.run_experiment(settings, **kwargs)
+        spec = open_study(settings, load_factors=(0.8,), kinds=("mmpp",))
+        context = StudyContext(cache=cache)
+        first = run_study(spec, context=context)
+        second = run_study(spec, context=context)
         assert open_system.format_table(first) == open_system.format_table(
             second
         )
