@@ -81,8 +81,6 @@ Tracing quick start::
     print(report.results.decisions)         # staleness/regret summary
 """
 
-from typing import Any
-
 from repro.faults.plan import (
     FaultPlan,
     LoadBoardOutage,
@@ -138,17 +136,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "5.0.0"
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy for the same reason as in repro.telemetry: the profiler's
-    # module must stay unimported until ``python -m`` runs it.
-    if name == "KernelProfiler":
-        from repro.telemetry.profile import KernelProfiler
-
-        return KernelProfiler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__version__ = "6.0.0"
 
 
 __all__ = [
@@ -198,6 +186,5 @@ __all__ = [
     "DecisionAudit",
     "DecisionRecord",
     "DecisionSummary",
-    "KernelProfiler",
     "__version__",
 ]

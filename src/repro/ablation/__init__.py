@@ -1,7 +1,7 @@
 """Declarative ablation studies (ROADMAP item 3).
 
 A *study* is a frozen :class:`~repro.ablation.spec.StudySpec`: one
-baseline run (:class:`~repro.ablation.spec.BaselineRun`) plus a set of
+baseline run (a config, a policy and a mechanism list) plus a set of
 *components*, each listing the variants that toggle or re-range that
 component while everything else stays at baseline.  The spec expands
 deterministically into a grid of content-addressed runs
@@ -44,7 +44,6 @@ from repro.ablation.report import (
     variant_effects,
 )
 from repro.ablation.spec import (
-    BaselineRun,
     Component,
     StudySpec,
     Variant,
@@ -62,7 +61,6 @@ from repro.ablation.study import (
 )
 
 __all__ = [
-    "BaselineRun",
     "Variant",
     "Component",
     "StudySpec",

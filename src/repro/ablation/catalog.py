@@ -16,8 +16,9 @@ that equivalence in CI.
 * ``stale-info`` / ``disk-organization`` / ``update-fraction`` /
   ``heterogeneity`` / ``subnet-scaling`` — the extension ablations that
   :mod:`repro.experiments.ablations` renders.
-* ``smoke`` — a seconds-long study (tiny runs; fault and open-workload
-  variants included) for CI's cache-determinism check.
+* ``smoke`` — a seconds-long study (tiny runs; fault, open-workload and
+  composed-mechanism variants included) for CI's cache-determinism
+  check.
 * ``table8`` … ``table12``, ``msg``, ``failures``, ``open`` — the paper's
   §5 simulations and the two extension tables, each one Table 7
   parameter (or fault plan, or arrival process) swept across the
@@ -34,11 +35,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.ablation.spec import BaselineRun, Component, StudySpec, Variant
+from repro.ablation.spec import Component, StudySpec, Variant
 from repro.ablation.study import CellOutcome, StudyOutcome
 from repro.experiments.report import improvement_pct
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.experiments.sweep import set_config_parameter
+from repro.extensions import HeterogeneousCPUSpec, StaleLoadInfoSpec, UpdatesSpec
 from repro.faults.plan import FaultPlan, RandomOutages, SiteOutage
 from repro.model.config import DISK_PER_DISK, DISK_SHARED, SystemConfig, paper_defaults
 from repro.workloads.arrivals import MMPP, PoissonOpen
@@ -46,13 +48,10 @@ from repro.workloads.spec import AdmissionControl, WorkloadSpec, estimate_site_c
 
 #: One grid point: a name and its overrides, keyed like the
 #: :class:`~repro.ablation.spec.Variant` fields they set
-#: (``config_patches``, ``system_kind``, ``system_kwargs``, ``faults``,
-#: ``workload``).
+#: (``config_patches``, ``mechanisms``, ``faults``, ``workload``).
 Point = Tuple[str, Mapping[str, Any]]
 
-_POINT_KEYS = frozenset(
-    {"config_patches", "system_kind", "system_kwargs", "faults", "workload"}
-)
+_POINT_KEYS = frozenset({"config_patches", "mechanisms", "faults", "workload"})
 
 
 def _overridden(overrides: Mapping[str, Any]) -> Set[str]:
@@ -76,13 +75,13 @@ def grid_study(
     """A study of every point under every policy, with common random numbers.
 
     The baseline is the first point under the first policy: its config
-    patches go into the study config, its system kind into the baseline
-    run, and its fault plan or workload into the run settings.  Every
-    other cell is a variant named ``"{point}-{policy}"``, in point-major
-    order, carrying its point's overrides and its policy, all in one
-    component named after the study.  A later point must set everything
-    the first point sets, or it would silently inherit the first point's
-    value.
+    patches go into the study config, its mechanisms into the study's
+    mechanism list, and its fault plan or workload into the run
+    settings.  Every other cell is a variant named ``"{point}-{policy}"``,
+    in point-major order, carrying its point's overrides and its policy,
+    all in one component named after the study.  A later point must set
+    everything the first point sets, or it would silently inherit the
+    first point's value.
     """
     if not points or not policies:
         raise ValueError(f"grid {name!r} needs at least one point and one policy")
@@ -116,11 +115,8 @@ def grid_study(
         description=description,
         metric=metric,
         config=config,
-        baseline=BaselineRun(
-            policy=policies[0],
-            system_kind=first.get("system_kind", "standard"),
-            system_kwargs=first.get("system_kwargs", ()),
-        ),
+        policy=policies[0],
+        mechanisms=first.get("mechanisms", ()),
         settings=settings,
         components=(
             Component(name=name, description=component_description, variants=variants),
@@ -149,7 +145,7 @@ class GridOutcome:
             key = (variant.name[: -len(variant.policy) - 1], variant.policy)
             self._variants[key] = variant
             self._cells[key] = cell
-        policies = [spec.baseline.policy]
+        policies = [spec.policy]
         points: List[str] = []
         for point, policy in self._cells:
             if policy not in policies:
@@ -224,7 +220,7 @@ def core_study(settings: RunSettings = STANDARD) -> StudySpec:
         ),
         metric="response_time",
         config=paper_defaults(),
-        baseline=BaselineRun(policy="LERT"),
+        policy="LERT",
         settings=settings,
         components=(
             Component(
@@ -243,8 +239,7 @@ def core_study(settings: RunSettings = STANDARD) -> StudySpec:
                 variants=tuple(
                     Variant(
                         name=f"refresh-{interval:g}",
-                        system_kind="stale",
-                        system_kwargs=(("refresh_interval", interval),),
+                        mechanisms=(StaleLoadInfoSpec(refresh_interval=interval),),
                     )
                     for interval in (25.0, 100.0, 400.0)
                 ),
@@ -288,7 +283,7 @@ def stale_info_study(
         ),
         metric="waiting_time",
         config=paper_defaults(),
-        baseline=BaselineRun(policy="LOCAL"),
+        policy="LOCAL",
         settings=settings,
         components=(
             Component(
@@ -298,8 +293,7 @@ def stale_info_study(
                     Variant(
                         name=f"refresh-{interval:g}",
                         policy=policy,
-                        system_kind="stale",
-                        system_kwargs=(("refresh_interval", interval),),
+                        mechanisms=(StaleLoadInfoSpec(refresh_interval=interval),),
                     )
                     for interval in intervals
                 ),
@@ -347,10 +341,7 @@ def update_fraction_study(
         config=paper_defaults(),
         settings=settings,
         points=[
-            (
-                f"f{fraction:g}",
-                {"system_kind": "updates", "system_kwargs": (("update_prob", fraction),)},
-            )
+            (f"f{fraction:g}", {"mechanisms": (UpdatesSpec(update_prob=fraction),)})
             for fraction in fractions
         ],
         policies=("LOCAL", "LERT"),
@@ -362,7 +353,7 @@ def heterogeneity_study_spec(
     speed_factors: Tuple[float, ...] = (0.5, 0.5, 1.0, 1.0, 2.0, 2.0),
 ) -> StudySpec:
     """The homogeneity-assumption sweep: policies on unequal CPUs."""
-    factors = tuple(float(f) for f in speed_factors)
+    mechanism = HeterogeneousCPUSpec(cpu_speed_factors=speed_factors)
     return StudySpec(
         name="heterogeneity",
         title="Heterogeneous CPU speeds",
@@ -372,12 +363,9 @@ def heterogeneity_study_spec(
             "times."
         ),
         metric="response_time",
-        config=paper_defaults(num_sites=len(factors)),
-        baseline=BaselineRun(
-            policy="LOCAL",
-            system_kind="heterogeneous",
-            system_kwargs=(("cpu_speed_factors", factors),),
-        ),
+        config=paper_defaults(num_sites=len(mechanism.cpu_speed_factors)),
+        policy="LOCAL",
+        mechanisms=(mechanism,),
         settings=settings,
         components=(
             Component(
@@ -675,14 +663,14 @@ def smoke_study(settings: RunSettings = SMOKE_SETTINGS) -> StudySpec:
         name="smoke",
         title="CI smoke study",
         description=(
-            "Tiny runs covering the policy, fault, and open-workload "
-            "cell flavors; CI runs it twice through the cache and "
-            "asserts the second pass is all hits with a byte-identical "
-            "report."
+            "Tiny runs covering the policy, fault, open-workload and "
+            "composed-mechanism cell flavors; CI runs it twice through "
+            "the cache and asserts the second pass is all hits with a "
+            "byte-identical report."
         ),
         metric="response_time",
         config=config,
-        baseline=BaselineRun(policy="LERT"),
+        policy="LERT",
         settings=settings,
         components=(
             Component(
@@ -713,6 +701,19 @@ def smoke_study(settings: RunSettings = SMOKE_SETTINGS) -> StudySpec:
                         workload=WorkloadSpec(
                             arrivals=PoissonOpen(rate=0.03),
                             admission=AdmissionControl(max_pending=8),
+                        ),
+                    ),
+                ),
+            ),
+            Component(
+                name="mechanisms",
+                description="stale load information composed with updates",
+                variants=(
+                    Variant(
+                        name="stale-updates",
+                        mechanisms=(
+                            StaleLoadInfoSpec(refresh_interval=50.0),
+                            UpdatesSpec(update_prob=0.2),
                         ),
                     ),
                 ),

@@ -16,9 +16,11 @@ consequences:
   (config, policy, seed, ...) matches a previous run, in *any* study or
   table experiment, is answered from cache.
 
-Replication ``r`` of every cell uses ``settings.seed_for(r)``, so all
-variants face an identical query stream (common random numbers) and the
-report's deltas are CRN-paired.
+A cell's tasks come from
+:func:`~repro.experiments.parallel.replication_tasks`, so replication
+``r`` of every cell runs ``settings.spec(r)``: all variants face an
+identical query stream (common random numbers) and the report's deltas
+are CRN-paired.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.ablation.spec import Component, StudySpec, Variant
-from repro.experiments.parallel import ReplicationTask
+from repro.experiments.parallel import ReplicationTask, replication_tasks
 from repro.experiments.sweep import set_config_parameter
 
 #: Label of the baseline cell (component/variant labels are
@@ -92,71 +94,47 @@ def _cell_tasks(
     spec: StudySpec, variant: Optional[Variant]
 ) -> Tuple[ReplicationTask, ...]:
     """The replication tasks of one cell (baseline when *variant* is None)."""
-    config = spec.config
-    policy = spec.baseline.policy
-    system_kind = spec.baseline.system_kind
-    system_kwargs = spec.baseline.system_kwargs
-    faults = spec.settings.faults
-    workload = spec.settings.workload
+    config, policy, mechanisms, settings = (
+        spec.config, spec.policy, spec.mechanisms, spec.settings
+    )
     if variant is not None:
         for dotted_path, value in variant.config_patches:
             config = set_config_parameter(config, dotted_path, value)
         if variant.policy is not None:
             policy = variant.policy
-        if variant.system_kind is not None:
-            system_kind = variant.system_kind
-            system_kwargs = variant.system_kwargs
+        if variant.mechanisms is not None:
+            mechanisms = variant.mechanisms
         if variant.faults is not None:
-            faults = variant.faults
+            settings = settings.with_faults(variant.faults)
         if variant.workload is not None:
-            workload = variant.workload
-    settings = spec.settings
-    return tuple(
-        ReplicationTask(
-            config=config,
-            policy=policy,
-            seed=settings.seed_for(replication),
-            warmup=settings.warmup,
-            duration=settings.duration,
-            system_kind=system_kind,
-            system_kwargs=system_kwargs,
-            faults=faults,
-            workload=workload,
-        )
-        for replication in range(settings.replications)
-    )
+            settings = settings.with_workload(variant.workload)
+    return tuple(replication_tasks(config, policy, settings, mechanisms))
 
 
-def _variant_cell(
-    spec: StudySpec, component: Component, variant: Variant
+def _cell(
+    spec: StudySpec, component: Optional[Component], variant: Optional[Variant]
 ) -> StudyCell:
+    label = BASELINE_LABEL
+    if component is not None and variant is not None:
+        label = f"{component.name}:{variant.name}"
     try:
         tasks = _cell_tasks(spec, variant)
     except ValueError as exc:
-        # ReplicationTask rejects faults/workloads on extension system
-        # kinds; point the error at the offending cell.
-        raise ValueError(
-            f"study {spec.name!r}, component {component.name!r}, "
-            f"variant {variant.name!r}: {exc}"
-        ) from exc
+        # A mechanism list no system accepts: point at the offending cell.
+        raise ValueError(f"study {spec.name!r}, cell {label!r}: {exc}") from exc
     return StudyCell(
-        label=f"{component.name}:{variant.name}",
-        component=component.name,
-        variant=variant.name,
+        label=label,
+        component=component and component.name,
+        variant=variant and variant.name,
         tasks=tasks,
     )
 
 
 def expand(spec: StudySpec) -> StudyGrid:
     """Expand *spec* into its grid (pure; no simulation happens here)."""
-    baseline = StudyCell(
-        label=BASELINE_LABEL,
-        component=None,
-        variant=None,
-        tasks=_cell_tasks(spec, None),
-    )
+    baseline = _cell(spec, None, None)
     cells = tuple(
-        _variant_cell(spec, component, variant)
+        _cell(spec, component, variant)
         for component in spec.components
         for variant in component.variants
     )

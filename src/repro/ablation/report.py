@@ -150,7 +150,7 @@ def render_study_report(outcome: StudyOutcome, *, markdown: bool = False) -> str
     Markdown through the same cell-formatting path.
     """
     spec = outcome.spec
-    baseline = spec.baseline
+    kind = "+".join(mechanism.kind for mechanism in spec.mechanisms) or "standard"
     ranking = TextTable(
         ["rank", "component", "importance |d%|", "largest effect", "d%"],
         title=f"Ranked component importance (primary metric: {spec.metric})",
@@ -213,7 +213,7 @@ def render_study_report(outcome: StudyOutcome, *, markdown: bool = False) -> str
         f"Cells: {1 + len(outcome.cells)} "
         f"({spec.settings.replications} replication(s) each, "
         f"base seed {spec.settings.base_seed})",
-        f"Baseline: policy={baseline.policy} kind={baseline.system_kind}",
+        f"Baseline: policy={spec.policy} kind={kind}",
         f"Baseline metrics: {_metrics_line(outcome.baseline)}",
         "",
         render(ranking),

@@ -2,20 +2,20 @@
 
 A :class:`StudySpec` is a baseline run plus components:
 
-* :class:`BaselineRun` — the reference point: a system config, a policy,
-  and (for the extension systems) a system kind with its constructor
-  kwargs.
+* the baseline — the study's system config, policy and mechanism list
+  (tagged specs such as ``{"kind": "stale", "refresh_interval": 50.0}``;
+  empty is the paper's model), run under the study's
+  :class:`~repro.experiments.runconfig.RunSettings`, which give every
+  cell its CRN-paired replication seeds;
 * :class:`Variant` — one alternative setting of a component, expressed
-  as a *delta* against the baseline: an optional policy override,
-  optional system-kind override, dotted-path config patches (see
+  as a *delta* against the baseline: an optional policy override, an
+  optional mechanism list that replaces the baseline's, dotted-path
+  config patches (see
   :func:`~repro.experiments.sweep.set_config_parameter`), and optional
-  fault-plan / workload overrides.
+  fault-plan / workload overrides;
 * :class:`Component` — a named dimension with one or more variants; the
   study runs each variant with every *other* component at baseline
   (one-at-a-time ablation).
-* :class:`StudySpec` — name, title, primary metric, baseline,
-  components, and the :class:`~repro.experiments.runconfig.RunSettings`
-  that give every cell its CRN-paired replication seeds.
 
 Everything is frozen and validated at construction, and round-trips
 through JSON (:func:`study_spec_to_dict` / :func:`study_spec_from_dict`,
@@ -39,18 +39,19 @@ from repro.codec import (
     encode,
     freeze,
     load,
-    omit_unless,
     save,
+    tagged,
 )
-from repro.experiments.parallel import SYSTEM_KINDS
 from repro.experiments.runconfig import RunSettings
+from repro.extensions import MECHANISMS, MechanismSpec
 from repro.experiments.sweep import set_config_parameter
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.workloads.spec import WorkloadSpec
 
-#: Version tag of the serialized study-spec format.
-STUDY_FORMAT_VERSION = 1
+#: Version tag of the serialized study-spec format (2: the baseline's
+#: policy and mechanism list are study fields).
+STUDY_FORMAT_VERSION = 2
 
 #: Metrics a study may rank by (the report shows all of them).
 STUDY_METRICS = (
@@ -63,45 +64,17 @@ STUDY_METRICS = (
 
 
 @dataclass(frozen=True)
-class BaselineRun:
-    """The study's reference run (everything a variant deltas against).
-
-    Attributes:
-        policy: Registered allocation policy of the baseline.
-        system_kind: Simulation system class
-            (:data:`~repro.experiments.parallel.SYSTEM_KINDS`).
-        system_kwargs: Extra constructor kwargs of the extension system,
-            as sorted ``(name, value)`` pairs.
-    """
-
-    policy: str
-    system_kind: str = "standard"
-    system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
-        object.__setattr__(self, "system_kwargs", tuple(sorted(freeze(self.system_kwargs))))
-
-
-@dataclass(frozen=True)
 class Variant:
     """One alternative setting of a component, as a delta vs baseline.
 
     Unset fields (``None`` / empty) inherit the baseline; set fields
-    override it.  ``system_kind`` and ``system_kwargs`` override
-    *together*: naming a kind replaces both the baseline kind and its
-    kwargs.
+    override it.
 
     Attributes:
         name: Variant name, unique within its component.
         policy: Optional policy override.
-        system_kind: Optional system-kind override.
-        system_kwargs: Constructor kwargs of the overriding kind
-            (ignored unless ``system_kind`` is set).
+        mechanisms: Optional mechanism list; a tuple, even ``()``,
+            replaces the baseline's whole list.
         config_patches: ``(dotted_path, value)`` pairs applied to the
             baseline config in order (see
             :func:`~repro.experiments.sweep.set_config_parameter`).
@@ -111,9 +84,8 @@ class Variant:
 
     name: str
     policy: Optional[str] = field(default=None, metadata=OMIT_NONE)
-    system_kind: Optional[str] = field(default=None, metadata=OMIT_NONE)
-    system_kwargs: Tuple[Tuple[str, Any], ...] = field(
-        default=(), metadata=omit_unless("system_kind")
+    mechanisms: Optional[Tuple[MechanismSpec, ...]] = field(
+        default=None, metadata={**tagged(MECHANISMS), **OMIT_NONE}
     )
     config_patches: Tuple[Tuple[str, Any], ...] = field(default=(), metadata=OMIT_EMPTY)
     faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_NONE)
@@ -122,21 +94,10 @@ class Variant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a variant needs a non-empty name")
-        if self.system_kind is not None and self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
-        if self.system_kwargs and self.system_kind is None:
-            raise ValueError(
-                f"variant {self.name!r} sets system_kwargs without "
-                "system_kind; kwargs only apply with an overriding kind"
-            )
-        object.__setattr__(self, "system_kwargs", tuple(sorted(freeze(self.system_kwargs))))
         object.__setattr__(self, "config_patches", freeze(self.config_patches))
         if (
             self.policy is None
-            and self.system_kind is None
+            and self.mechanisms is None
             and not self.config_patches
             and self.faults is None
             and self.workload is None
@@ -181,7 +142,8 @@ class StudySpec:
         metric: Primary metric the importance ranking sorts by (one of
             :data:`STUDY_METRICS`); the report still shows every metric.
         config: Baseline system configuration.
-        baseline: Baseline policy / system kind (see :class:`BaselineRun`).
+        policy: Baseline allocation policy.
+        mechanisms: Baseline mechanism list (empty: the paper's model).
         settings: Run lengths, replication count, base seed, and the
             study-wide fault plan / workload (variant overrides win).
         components: The ablated dimensions.
@@ -194,7 +156,10 @@ class StudySpec:
     description: str = field(default="", kw_only=True)
     metric: str
     config: SystemConfig
-    baseline: BaselineRun
+    policy: str
+    mechanisms: Tuple[MechanismSpec, ...] = field(
+        default=(), kw_only=True, metadata={**tagged(MECHANISMS), **OMIT_EMPTY}
+    )
     settings: RunSettings
     components: Tuple[Component, ...]
 
@@ -258,7 +223,6 @@ def load_study_spec(path: Union[str, pathlib.Path]) -> StudySpec:
 __all__ = [
     "STUDY_FORMAT_VERSION",
     "STUDY_METRICS",
-    "BaselineRun",
     "Variant",
     "Component",
     "StudySpec",

@@ -21,18 +21,21 @@ A format is declared next to its dataclass, never here:
 
 * ``format_version: ClassVar[int]`` — written at the top of the class's
   dict wherever it appears, checked on decode;
-* field metadata :data:`OMIT_NONE`, :data:`OMIT_EMPTY` or
-  :func:`omit_unless` — leave the field out of the encoding (decoding an
-  absent field falls back to its default);
+* field metadata :data:`OMIT_NONE` or :data:`OMIT_EMPTY` — leave the
+  field out of the encoding (decoding an absent field falls back to its
+  default);
 * field metadata :data:`REQUIRED` — a field with a default whose key a
   document must still carry;
 * field metadata ``tagged(union)`` — the field holds one member of a
-  :class:`TaggedUnion`, written with the union's tag key.
+  :class:`TaggedUnion`, written with the union's tag key (on a
+  ``Tuple[..., ...]`` field, possibly ``Optional``, each item is one).
 
 Decoding is strict: a key that is not a field, the declared tag or a
 versioned class's ``format_version`` raises :class:`ConfigError` naming
 its path, e.g. ``components[0].variants[2].faults: unknown key
-'max_retry'``.
+'max_retry'``; a nested object that its own class rejects raises it
+with that object's path, e.g. ``mechanisms[0]: refresh_interval must be
+>= 0``.
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ T = TypeVar("T")
 VERSION_KEY = "format_version"
 
 #: Field metadata: leave the field out of the encoding while it is ``None``.
-OMIT_NONE: Mapping[str, Any] = {"omit": lambda value, owner: value is None}
+OMIT_NONE: Mapping[str, Any] = {"omit": lambda value: value is None}
 
 #: Field metadata: leave the field out of the encoding while it is empty.
-OMIT_EMPTY: Mapping[str, Any] = {"omit": lambda value, owner: not value}
+OMIT_EMPTY: Mapping[str, Any] = {"omit": lambda value: not value}
 
 #: Field metadata: the key must be present in a document even though
 #: Python callers may rely on the field's default.
@@ -75,11 +78,6 @@ REQUIRED: Mapping[str, Any] = {"required": True}
 
 class ConfigError(ValueError):
     """An invalid model configuration or serialized document."""
-
-
-def omit_unless(other: str) -> Mapping[str, Any]:
-    """Field metadata: write the field only while field *other* is set."""
-    return {"omit": lambda value, owner: getattr(owner, other) is None}
 
 
 class TaggedUnion:
@@ -120,7 +118,7 @@ class TaggedUnion:
 
 
 def tagged(union: TaggedUnion) -> Mapping[str, Any]:
-    """Field metadata: the field holds one member of *union*."""
+    """Field metadata: the field (or each item of a tuple field) is a member of *union*."""
     return {"union": union}
 
 
@@ -135,13 +133,8 @@ class _Field:
     __slots__ = ("name", "encode", "decode", "omit", "required")
 
     def __init__(self, spec: dataclasses.Field, hint: Any) -> None:
-        union = spec.metadata.get("union")
         self.name = spec.name
-        if union is not None:
-            self.encode: Encoder = union.encode
-            self.decode: Decoder = union.decode
-        else:
-            self.encode, self.decode = _coder(hint)
+        self.encode, self.decode = _coder(hint, spec.metadata.get("union"))
         self.omit = spec.metadata.get("omit")
         self.required = spec.metadata.get("required") or (
             spec.default is dataclasses.MISSING
@@ -184,7 +177,7 @@ def encode(value: Any) -> Dict[str, Any]:
         data[VERSION_KEY] = plan.version
     for spec in plan.fields:
         item = getattr(value, spec.name)
-        if spec.omit is not None and spec.omit(item, value):
+        if spec.omit is not None and spec.omit(item):
             continue
         data[spec.name] = item if spec.encode is None else spec.encode(item)
     return data
@@ -195,8 +188,9 @@ def decode(cls: Type[T], data: Any) -> T:
 
     Raises:
         ConfigError: On a non-dict, an unknown or missing key, an
-            unsupported ``format_version``, or a value of the wrong type.
-            The dataclass's own validation errors propagate unchanged.
+            unsupported ``format_version``, a value of the wrong type, or
+            a nested object its class rejects.  The top-level class's
+            own validation errors propagate unchanged.
     """
     return _decode_object(cls, data, "")
 
@@ -233,6 +227,11 @@ def _decode_object(
         return cls(**kwargs)
     except TypeError as bad:
         raise ConfigError(f"{where}: {bad}") from None
+    except ValueError as bad:
+        if not path:
+            raise
+        # The fields decoded; the nested object's own checks failed.
+        raise ConfigError(f"{path}: {bad}") from None
 
 
 def check_field(cls: type, name: str, value: Any, path: str) -> Any:
@@ -264,25 +263,24 @@ def _thaw(value: Any) -> Any:
     return value
 
 
-def _coder(hint: Any) -> Tuple[Encoder, Decoder]:
-    """The (encoder, decoder) pair of one type hint."""
-    if hint is Any:
-        return _thaw, lambda data, path: freeze(data)
-    if dataclasses.is_dataclass(hint):
-        return encode, lambda data, path: _decode_object(hint, data, path)
-    primitive = _PRIMITIVES.get(hint)
-    if primitive is not None:
-        return None, primitive
+def _coder(hint: Any, union: Optional[TaggedUnion] = None) -> Tuple[Encoder, Decoder]:
+    """The (encoder, decoder) pair of one type hint.
+
+    With *union*, the values inside any ``Optional`` and variadic tuple
+    layers of *hint* are members of that union.
+    """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Union and len(args) == 2 and type(None) in args:
-        inner_encode, inner_decode = _coder(next(a for a in args if a is not type(None)))
+        inner_encode, inner_decode = _coder(
+            next(a for a in args if a is not type(None)), union
+        )
         return (
             None
             if inner_encode is None
             else lambda value: None if value is None else inner_encode(value)
         ), lambda data, path: None if data is None else inner_decode(data, path)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item_encode, item_decode = _coder(args[0])
+        item_encode, item_decode = _coder(args[0], union)
 
         def decode_items(data: Any, path: str) -> Tuple[Any, ...]:
             items = _list(data, path)
@@ -291,6 +289,15 @@ def _coder(hint: Any) -> Tuple[Encoder, Decoder]:
         if item_encode is None:
             return list, decode_items
         return lambda value: [item_encode(x) for x in value], decode_items
+    if union is not None:
+        return union.encode, union.decode
+    if hint is Any:
+        return _thaw, lambda data, path: freeze(data)
+    if dataclasses.is_dataclass(hint):
+        return encode, lambda data, path: _decode_object(hint, data, path)
+    primitive = _PRIMITIVES.get(hint)
+    if primitive is not None:
+        return None, primitive
     if origin is tuple and args:
         coders = [_coder(arg) for arg in args]
 
@@ -386,7 +393,6 @@ __all__ = [
     "ConfigError",
     "check_field",
     "TaggedUnion",
-    "omit_unless",
     "tagged",
     "encode",
     "decode",

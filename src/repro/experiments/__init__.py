@@ -33,11 +33,7 @@ from repro.experiments.registry import (
     experiment_names,
     get_experiment,
 )
-from repro.experiments.cache import (
-    ResultCache,
-    cache_key,
-    default_cache_dir,
-)
+from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.parallel import (
     ReplicationTask,
     resolve_jobs,
@@ -69,7 +65,6 @@ __all__ = [
     "TextTable",
     "improvement_pct",
     "ResultCache",
-    "cache_key",
     "default_cache_dir",
     "ReplicationTask",
     "resolve_jobs",

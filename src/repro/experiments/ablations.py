@@ -38,7 +38,7 @@ def stale_waits(outcome: StudyOutcome) -> Dict[float, float]:
     """W per snapshot refresh interval, in spec order."""
     (component,) = outcome.spec.components
     return {
-        dict(variant.system_kwargs)["refresh_interval"]: cell.metrics.waiting_time
+        variant.mechanisms[0].refresh_interval: cell.metrics.waiting_time
         for variant, cell in zip(component.variants, outcome.cells)
     }
 
@@ -145,7 +145,7 @@ def informed_advantage(outcome: StudyOutcome) -> float:
 
 
 def format_heterogeneity(outcome: StudyOutcome) -> str:
-    speed_factors = dict(outcome.spec.baseline.system_kwargs)["cpu_speed_factors"]
+    speed_factors = outcome.spec.mechanisms[0].cpu_speed_factors
     table = TextTable(
         ["policy", "mean response time", "vs LOCAL %"],
         title=f"Heterogeneous CPU speeds {speed_factors}",

@@ -2,7 +2,8 @@
 
 Every simulation cell in the experiment harness is a pure function of its
 :class:`~repro.experiments.parallel.ReplicationTask` — config, policy name,
-seed, warmup, duration, system kind and kwargs, fault plan, workload — so
+mechanisms, and the run's seed, warmup, duration, fault plan and
+workload — so
 its :class:`~repro.model.metrics.SystemResults` can be cached on disk and
 reused across runs, scales that share cells, processes, and (with a shared
 directory) machines.  The cache is *content addressed*: the key
@@ -31,7 +32,7 @@ Typical use goes through the execution backend
 ``--no-cache``; direct use::
 
     cache = ResultCache(default_cache_dir())
-    key = cache_key(config, "LERT", seed=1, warmup=500.0, duration=2000.0)
+    key = ReplicationTask(config, "LERT", run=RunSpec(500.0, 2000.0, seed=1)).key()
     hit = cache.get(key)           # None on miss
     cache.put(key, results)        # atomic
 """
@@ -44,14 +45,11 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.codec import encode
-from repro.faults.plan import FaultPlan
-from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
 from repro.model.serialization import results_from_dict, results_to_dict
-from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (parallel imports this)
     from repro.experiments.parallel import ReplicationTask
@@ -91,45 +89,14 @@ def task_key(task: "ReplicationTask") -> str:
     The SHA-256 hex digest of the canonical JSON of the task's encoding
     (:func:`repro.codec.encode`) plus ``cache_version``.  Every field of
     :class:`~repro.experiments.parallel.ReplicationTask` is in it, so any
-    input that changes the run changes the key.  ``faults`` and
-    ``workload`` are left out while ``None`` (the task normalizes no-op
-    plans and the closed default to ``None``), so faultless closed runs
-    keep the keys they always had; ``system_kwargs`` is written as an
-    object, as in every existing key.
+    input that changes the run changes the key.  An empty mechanism list
+    and the run's unset fault plan and workload are left out (the run
+    normalizes no-op plans and the closed default to ``None``), so a run
+    of the paper's model is keyed by its config, policy, window and seed.
     """
     payload = encode(task)
-    payload["system_kwargs"] = dict(task.system_kwargs)
     payload["cache_version"] = CACHE_VERSION
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def cache_key(
-    config: SystemConfig,
-    policy: str,
-    *,
-    seed: int,
-    warmup: float,
-    duration: float,
-    system_kind: str = "standard",
-    system_kwargs: Sequence[Tuple[str, Any]] = (),
-    faults: Optional[FaultPlan] = None,
-    workload: Optional[WorkloadSpec] = None,
-) -> str:
-    """:func:`task_key` of the task these arguments build."""
-    from repro.experiments.parallel import ReplicationTask
-
-    task = ReplicationTask(
-        config=config,
-        policy=policy,
-        seed=seed,
-        warmup=warmup,
-        duration=duration,
-        system_kind=system_kind,
-        system_kwargs=tuple(system_kwargs),
-        faults=faults,
-        workload=workload,
-    )
-    return task_key(task)
 
 
 @dataclass
@@ -233,7 +200,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CacheStats",
     "ResultCache",
-    "cache_key",
     "canonical_json",
     "task_key",
     "default_cache_dir",

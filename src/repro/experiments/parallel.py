@@ -35,31 +35,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.codec import OMIT_NONE
+from repro.codec import OMIT_EMPTY, tagged
 from repro.experiments.cache import ResultCache, task_key
 from repro.experiments.runconfig import RunSettings
-from repro.extensions.heterogeneous import HeterogeneousCPU
-from repro.extensions.stale_info import StaleLoadInfo
-from repro.extensions.updates import Updates
-from repro.faults.plan import FaultPlan
+from repro.extensions import MECHANISMS, MechanismSpec
 from repro.model.config import SystemConfig
-from repro.model.mechanism import Mechanism
 from repro.model.metrics import SystemResults
-from repro.runner import RunSpec, execute, settle_run
-from repro.workloads.spec import WorkloadSpec
-
-#: Serialized extension kinds: name -> mechanism factory, called with the
-#: task's ``system_kwargs`` (the way policy names map to policies).
-EXTENSION_KINDS: Dict[str, Callable[..., Mechanism]] = {
-    "stale": StaleLoadInfo,
-    "updates": Updates,
-    "heterogeneous": HeterogeneousCPU,
-}
-
-#: Every valid ``system_kind``: the paper's model plus one extension.
-SYSTEM_KINDS = ("standard",) + tuple(EXTENSION_KINDS)
+from repro.runner import RunSpec, execute
 
 
 @dataclass(frozen=True)
@@ -110,55 +94,31 @@ def progress_reporting(callback: ProgressCallback) -> Iterator[None]:
 class ReplicationTask:
     """Picklable description of one simulation run.
 
-    ``system_kind`` is "standard" (the paper's model) or one of
-    :data:`EXTENSION_KINDS`, whose mechanism is built from
-    ``system_kwargs``: a sorted tuple of ``(name, value)`` pairs, so the
-    task stays hashable and its cache key stays canonical.
-
-    ``faults`` optionally installs a fault plan for the run.  A no-op
-    plan is normalized to ``None`` at construction (same run, same cache
-    key), and non-``None`` plans are folded into :meth:`key`, so a
-    faulted task can never be answered from a faultless cache entry.
-
-    ``workload`` optionally drives the run with an open workload spec.
-    The default closed spec is normalized to ``None`` at construction
-    (same run, same cache key), and non-``None`` specs are folded into
-    :meth:`key`.  Both compose with every system kind.
+    A task is a system — config, policy name and the mechanisms built
+    into it (none is the paper's model) — and the :class:`RunSpec` it
+    runs under: window, seed, fault plan and workload.  Every field is in
+    :meth:`key`, so a task can never be answered from another run's
+    cache entry.  Cached results are telemetry-free, so ``run`` must not
+    ask for telemetry.  A mechanism list no system could be built with
+    fails here, not in a pool worker.
     """
 
     config: SystemConfig
     policy: str
-    seed: int
-    warmup: float
-    duration: float
-    system_kind: str = "standard"
-    system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=())
-    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_NONE)
-    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_NONE)
+    mechanisms: Tuple[MechanismSpec, ...] = field(
+        default=(), kw_only=True, metadata={**tagged(MECHANISMS), **OMIT_EMPTY}
+    )
+    run: RunSpec
 
     def __post_init__(self) -> None:
-        if self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
-        ordered = tuple(sorted(self.system_kwargs))
-        object.__setattr__(self, "system_kwargs", ordered)
-        self.extensions()  # fail early on bad mechanism arguments
-        settle_run(self)
-
-    def extensions(self) -> Tuple[Mechanism, ...]:
-        """Fresh extension mechanisms for one run of this task."""
-        if self.system_kind == "standard":
-            if self.system_kwargs:
-                raise ValueError("system_kwargs need an extension system kind")
-            return ()
-        try:
-            return (EXTENSION_KINDS[self.system_kind](**dict(self.system_kwargs)),)
-        except TypeError as exc:
-            raise ValueError(
-                f"bad system_kwargs for kind {self.system_kind!r}: {exc}"
-            ) from None
+        kinds = [spec.kind for spec in self.mechanisms]
+        for kind in kinds:
+            if kinds.count(kind) > 1:
+                raise ValueError(f"mechanisms: two of kind {kind!r}; at most one per kind")
+        for spec in self.mechanisms:
+            spec.build().check(self.config)
+        if self.run.telemetry is not None:
+            raise ValueError("a replication task runs without telemetry (results are cached)")
 
     def key(self) -> str:
         """Content address of this task (see :func:`task_key`)."""
@@ -169,27 +129,15 @@ def replication_tasks(
     config: SystemConfig,
     policy: str,
     settings: RunSettings,
-    *,
-    system_kind: str = "standard",
-    system_kwargs: Tuple[Tuple[str, Any], ...] = (),
+    mechanisms: Tuple[MechanismSpec, ...] = (),
 ) -> List[ReplicationTask]:
-    """One task per replication of a (config, policy, settings) cell.
+    """One task per replication of a (config, policy, mechanisms) cell.
 
-    ``settings.faults`` and ``settings.workload`` (when set) are carried
-    onto every task.
+    Replication ``r`` runs ``settings.spec(r)``: the settings' window,
+    fault plan and workload under the replication's seed.
     """
     return [
-        ReplicationTask(
-            config=config,
-            policy=policy,
-            seed=settings.seed_for(replication),
-            warmup=settings.warmup,
-            duration=settings.duration,
-            system_kind=system_kind,
-            system_kwargs=system_kwargs,
-            faults=settings.faults,
-            workload=settings.workload,
-        )
+        ReplicationTask(config, policy, mechanisms=mechanisms, run=settings.spec(replication))
         for replication in range(settings.replications)
     ]
 
@@ -197,31 +145,21 @@ def replication_tasks(
 def run_task(task: ReplicationTask) -> SystemResults:
     """Execute one task to completion (the process-pool worker function).
 
-    Goes through :func:`repro.runner.execute` — the shared run
-    entry point — always with telemetry disabled: cached results are
-    telemetry-free, so telemetry options can never perturb cache keys or
-    cached content.
+    Goes through :func:`repro.runner.execute` — the shared run entry
+    point.  Workloads bind at construction (arrival processes start at
+    time 0); ``execute`` installs the fault plan.
     """
     from repro.model.system import DistributedDatabase
     from repro.policies.registry import make_policy
 
-    # Workloads bind at construction (arrival processes start at time
-    # 0), unlike fault plans which execute() installs.
     system = DistributedDatabase(
         task.config,
         make_policy(task.policy),
-        seed=task.seed,
-        workload=task.workload,
-        extensions=task.extensions(),
+        seed=task.run.seed,
+        workload=task.run.workload,
+        extensions=tuple(spec.build() for spec in task.mechanisms),
     )
-    spec = RunSpec(
-        warmup=task.warmup,
-        duration=task.duration,
-        seed=task.seed,
-        faults=task.faults,
-        workload=task.workload,
-    )
-    return execute(system, spec).results
+    return execute(system, task.run).results
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -280,7 +218,7 @@ def run_tasks(
                     total=total,
                     cached=from_cache,
                     policy=task.policy,
-                    seed=task.seed,
+                    seed=task.run.seed,
                 )
             )
 
@@ -328,8 +266,6 @@ def run_tasks(
 
 
 __all__ = [
-    "EXTENSION_KINDS",
-    "SYSTEM_KINDS",
     "ProgressCallback",
     "ReplicationTask",
     "RunProgress",

@@ -9,7 +9,8 @@ Each experiment can run at three scales:
   recorded in EXPERIMENTS.md.
 
 A :class:`RunSettings` also carries the replication count; replications use
-independently derived master seeds and results are averaged.
+independently derived master seeds (:meth:`RunSettings.spec` gives each
+one's :class:`~repro.runner.RunSpec`) and results are averaged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 from repro.codec import OMIT_NONE, REQUIRED
 from repro.faults.plan import FaultPlan
-from repro.runner import settle_run
+from repro.runner import RunSpec, settle_run
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -60,6 +61,17 @@ class RunSettings:
     def seed_for(self, replication: int) -> int:
         """Master seed of one replication (stable, well separated)."""
         return self.base_seed + 1_000_003 * replication
+
+    def spec(self, replication: int = 0) -> RunSpec:
+        """The run of one replication: this window, plan and workload
+        under the replication's seed (telemetry off)."""
+        return RunSpec(
+            warmup=self.warmup,
+            duration=self.duration,
+            seed=self.seed_for(replication),
+            faults=self.faults,
+            workload=self.workload,
+        )
 
     def scaled(self, factor: float) -> "RunSettings":
         """Proportionally longer/shorter runs (factor > 0)."""

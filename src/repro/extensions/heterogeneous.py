@@ -14,13 +14,18 @@ What to expect (and what the heterogeneity experiment shows):
   CPU time by the target site's speed and recovers most of the loss,
   widening the information-based policies' edge relative to the
   homogeneous case.
+
+:class:`HeterogeneousCPUSpec` is the mechanism as data (kind
+``"heterogeneous"``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Sequence, Tuple
 
-from repro.model.mechanism import Mechanism
+from repro.model.config import SystemConfig
+from repro.model.mechanism import BaseMechanismSpec, Mechanism
 from repro.model.query import Query
 from repro.model.system import DistributedDatabase
 from repro.policies.lert import LERTPolicy
@@ -45,15 +50,29 @@ class HeterogeneousCPU(Mechanism):
             raise ValueError("speed factors must be > 0")
         self.cpu_speed_factors = factors
 
-    def bind(self, system: DistributedDatabase) -> None:
-        factors = self.cpu_speed_factors
-        if len(factors) != system.config.num_sites:
+    def check(self, config: SystemConfig) -> None:
+        if len(self.cpu_speed_factors) != config.num_sites:
             raise ValueError(
-                f"{len(factors)} speed factors for {system.config.num_sites} sites"
+                f"{len(self.cpu_speed_factors)} speed factors for {config.num_sites} sites"
             )
+
+    def bind(self, system: DistributedDatabase) -> None:
+        self.check(system.config)
         super().bind(system)
-        for site, speed in zip(system.sites, factors):
+        for site, speed in zip(system.sites, self.cpu_speed_factors):
             site.cpu_speed = speed
+
+
+@dataclass(frozen=True)
+class HeterogeneousCPUSpec(BaseMechanismSpec):
+    """:class:`HeterogeneousCPU`'s argument, serialized as kind ``"heterogeneous"``."""
+
+    kind: ClassVar[str] = "heterogeneous"
+
+    cpu_speed_factors: Tuple[float, ...]
+
+    def build(self) -> HeterogeneousCPU:
+        return HeterogeneousCPU(self.cpu_speed_factors)
 
 
 class HeterogeneousLERTPolicy(LERTPolicy):
@@ -99,4 +118,4 @@ class HeterogeneousLERTPolicy(LERTPolicy):
         return cpu_time + cpu_wait + io_time + io_wait + net_time
 
 
-__all__ = ["HeterogeneousCPU", "HeterogeneousLERTPolicy"]
+__all__ = ["HeterogeneousCPU", "HeterogeneousCPUSpec", "HeterogeneousLERTPolicy"]

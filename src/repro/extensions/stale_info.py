@@ -14,12 +14,16 @@ measure how quickly the heuristics' advantage decays with staleness:
   channel time per site (the status messages the paper chose to neglect).
 
 With ``refresh_interval=0`` this degenerates to the paper's oracle.
+:class:`StaleLoadInfoSpec` is the mechanism as data (kind ``"stale"``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 from repro.model.loadboard import FrozenLoadView
-from repro.model.mechanism import Mechanism
+from repro.model.mechanism import BaseMechanismSpec, Mechanism
 from repro.model.ring import Message
 from repro.model.system import DistributedDatabase
 from repro.sim.process import Hold
@@ -83,4 +87,17 @@ class StaleLoadInfo(Mechanism):
                     )
 
 
-__all__ = ["StaleLoadInfo"]
+@dataclass(frozen=True)
+class StaleLoadInfoSpec(BaseMechanismSpec):
+    """:class:`StaleLoadInfo`'s arguments, serialized as kind ``"stale"``."""
+
+    kind: ClassVar[str] = "stale"
+
+    refresh_interval: float = 50.0
+    broadcast_cost: float = 0.0
+
+    def build(self) -> StaleLoadInfo:
+        return StaleLoadInfo(self.refresh_interval, self.broadcast_cost)
+
+
+__all__ = ["StaleLoadInfo", "StaleLoadInfoSpec"]

@@ -23,13 +23,16 @@ Modeling decisions:
 The paper's footnote predicts that update load, being allocation-invariant,
 *dilutes* the benefit of dynamic allocation rather than changing the policy
 ranking; the update-fraction experiment confirms exactly that.
+:class:`UpdatesSpec` is the mechanism as data (kind ``"updates"``).
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import ClassVar
 
-from repro.model.mechanism import Mechanism
+from repro.model.mechanism import BaseMechanismSpec, Mechanism
 from repro.model.query import Query
 from repro.model.ring import Message
 
@@ -122,4 +125,18 @@ class Updates(Mechanism):
         self.applies_completed += 1
 
 
-__all__ = ["Updates"]
+@dataclass(frozen=True)
+class UpdatesSpec(BaseMechanismSpec):
+    """:class:`Updates`' arguments, serialized as kind ``"updates"``."""
+
+    kind: ClassVar[str] = "updates"
+
+    update_prob: float = 0.2
+    update_pages: int = 4
+    apply_cpu_time: float = 0.05
+
+    def build(self) -> Updates:
+        return Updates(self.update_prob, self.update_pages, self.apply_cpu_time)
+
+
+__all__ = ["Updates", "UpdatesSpec"]

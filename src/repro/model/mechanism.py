@@ -38,12 +38,15 @@ inside one operation (``system.migration``).
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
+from repro.codec import check_field
 from repro.model.query import Query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.config import SystemConfig
     from repro.model.system import DistributedDatabase
 
 
@@ -52,6 +55,9 @@ class Mechanism:
 
     #: The system this mechanism is bound to (set by :meth:`bind`).
     system: Optional["DistributedDatabase"] = None
+
+    def check(self, config: "SystemConfig") -> None:
+        """Reject a system *config* this mechanism cannot run on."""
 
     def bind(self, system: "DistributedDatabase") -> None:
         """Attach to *system* (called once, from its constructor)."""
@@ -72,4 +78,30 @@ class Mechanism:
         return f"<{type(self).__name__}>"
 
 
-__all__ = ["Mechanism"]
+class BaseMechanismSpec:
+    """The serializable description of one mechanism.
+
+    Each subclass is a frozen dataclass declared beside its mechanism,
+    with the mechanism constructor's arguments as fields (same names,
+    same defaults); :meth:`build` calls that constructor.  Construction
+    reads every field back through its JSON type and builds once, so a
+    wrong type or a value the constructor rejects fails here, not in the
+    run, and a spec built in code encodes like the same spec read from a
+    file.  ``kind`` is the spec's tag in JSON.
+    """
+
+    kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        cls = type(self)
+        for spec in dataclasses.fields(self):  # type: ignore[arg-type]
+            value = check_field(cls, spec.name, getattr(self, spec.name), spec.name)
+            object.__setattr__(self, spec.name, value)
+        self.build()
+
+    def build(self) -> Mechanism:
+        """A fresh, unbound mechanism for one run."""
+        raise NotImplementedError
+
+
+__all__ = ["Mechanism", "BaseMechanismSpec"]

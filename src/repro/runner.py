@@ -1,10 +1,11 @@
 """The top-level run facade: one entry-point signature for every run.
 
-Before this module, each layer had its own spelling of "run the system":
-``DistributedDatabase.run(warmup, duration)``, the experiment harness's
-``RunSettings``, and the parallel backend's ``ReplicationTask``.
-:class:`RunSpec` is the shared vocabulary — warmup, duration, seed, and
-optional telemetry — and two functions cover every use:
+:class:`RunSpec` is the one description of a run window — warmup,
+duration, seed, fault plan, workload and optional telemetry — shared by
+the library API and the experiment harness (a
+:class:`~repro.experiments.parallel.ReplicationTask` carries one, and
+:meth:`~repro.experiments.runconfig.RunSettings.spec` derives one per
+replication).  Two functions cover every use:
 
 * :func:`execute` — run an already-constructed system under a spec
   (the parallel backend's worker calls this);
@@ -34,10 +35,11 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.codec import OMIT_NONE
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.model.metrics import AvailabilitySummary, SystemResults
@@ -61,17 +63,13 @@ from repro.telemetry.tracing.export import (
 from repro.telemetry.tracing.spans import Span
 from repro.workloads.spec import WorkloadSpec, normalize_workload
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids importing the
-    # full experiment harness just to annotate from_settings)
-    from repro.experiments.runconfig import RunSettings
-
 
 def settle_run(carrier: Any) -> None:
     """Check a frozen run carrier's window and normalize its inputs in place.
 
-    :class:`RunSpec`, :class:`~repro.experiments.runconfig.RunSettings`
-    and :class:`~repro.experiments.parallel.ReplicationTask` all call
-    this from ``__post_init__``, so one run length is checked one way:
+    :class:`RunSpec` and :class:`~repro.experiments.runconfig.RunSettings`
+    both call this from ``__post_init__``, so one run length is checked
+    one way:
     ``warmup`` finite and >= 0, ``duration`` finite and > 0.  A no-op
     fault plan and the default closed workload become ``None`` — the
     same run, so it must share the cache key.
@@ -105,38 +103,20 @@ class RunSpec:
             construction: :func:`run` passes the spec to the
             constructor, while :func:`execute` only checks that the
             given system was built with it.
+
+    The unset optional fields are left out of the JSON form, so a
+    faultless, closed, untraced run encodes as its window and seed.
     """
 
     warmup: float = 3000.0
     duration: float = 15000.0
     seed: int = 0
-    telemetry: Optional[TelemetryConfig] = None
-    faults: Optional[FaultPlan] = None
-    workload: Optional[WorkloadSpec] = None
+    telemetry: Optional[TelemetryConfig] = field(default=None, metadata=OMIT_NONE)
+    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_NONE)
+    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
         settle_run(self)
-
-    @classmethod
-    def from_settings(
-        cls,
-        settings: "RunSettings",
-        replication: int = 0,
-        telemetry: Optional[TelemetryConfig] = None,
-    ) -> "RunSpec":
-        """Build a spec from an experiment-harness :class:`RunSettings`.
-
-        ``replication`` selects the replication's derived master seed,
-        exactly as the harness does.
-        """
-        return cls(
-            warmup=settings.warmup,
-            duration=settings.duration,
-            seed=settings.seed_for(replication),
-            telemetry=telemetry,
-            faults=settings.faults,
-            workload=settings.workload,
-        )
 
 
 @dataclass(frozen=True, slots=True)

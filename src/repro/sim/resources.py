@@ -15,9 +15,10 @@ disciplines:
 
 Both servers integrate with the process layer: a model process does
 ``yield server.service(demand)`` and is resumed when its service completes.
-Each server keeps standard monitors (utilization, queue length, waiting and
-response-time tallies) so experiments can read statistics without
-instrumenting model code.
+Each server keeps the time-weighted population and busy monitors and a
+completion count, so experiments can read utilization, queue length and —
+by Little's law, ``population.integral / completions`` — mean response
+time without instrumenting model code.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.sim.errors import ResourceError
 from repro.sim.events import Event, MinHeap, validate_delay
-from repro.sim.monitor import Tally, TimeWeighted
+from repro.sim.monitor import TimeWeighted
 from repro.sim.process import Command, Process
 
 _INFINITY = math.inf
@@ -58,10 +59,6 @@ class Server:
         self.population = TimeWeighted(sim, name=f"{name}.population")
         #: Time-average number of busy servers (for utilization).
         self.busy = TimeWeighted(sim, name=f"{name}.busy")
-        #: Queueing delay from arrival to start of service.
-        self.waits = Tally(name=f"{name}.wait")
-        #: Total time at the station (queueing + service).
-        self.responses = Tally(name=f"{name}.response")
         self.completions = 0
         # Completion events are the hottest schedule() call sites of the
         # model layer: the trace label is precomputed once per station and
@@ -83,8 +80,6 @@ class Server:
         """Truncate all monitors (warmup end)."""
         self.population.reset()
         self.busy.reset()
-        self.waits.reset()
-        self.responses.reset()
         self.completions = 0
 
     def utilization(self, server_count: int = 1) -> float:
@@ -114,11 +109,10 @@ class Server:
 class _FCFSJob:
     """Bookkeeping record for one in-service job at a :class:`FCFSServer`."""
 
-    __slots__ = ("process", "arrived", "event")
+    __slots__ = ("process", "event")
 
-    def __init__(self, process: Process, arrived: float) -> None:
+    def __init__(self, process: Process) -> None:
         self.process = process
-        self.arrived = arrived
         self.event: Optional[Event] = None
 
 
@@ -135,7 +129,7 @@ class FCFSServer(Server):
             raise ResourceError(f"{name}: need at least one server, got {servers}")
         super().__init__(sim, name)
         self.servers = servers
-        self._queue: Deque[Tuple[Process, float, float]] = deque()
+        self._queue: Deque[Tuple[Process, float]] = deque()
         self._active: List[_FCFSJob] = []
 
     @property
@@ -148,18 +142,16 @@ class FCFSServer(Server):
         return len(self._active)
 
     def _accept(self, process: Process, demand: float) -> None:
-        now = self.sim.now
         self.population.add(1)
         if len(self._active) < self.servers:
-            self._begin(process, demand, arrived=now)
+            self._begin(process, demand)
         else:
-            self._queue.append((process, demand, now))
+            self._queue.append((process, demand))
 
-    def _begin(self, process: Process, demand: float, arrived: float) -> None:
+    def _begin(self, process: Process, demand: float) -> None:
         now = self.sim.now
         self.busy.add(1)
-        self.waits.record(now - arrived)
-        job = _FCFSJob(process, arrived)
+        job = _FCFSJob(process)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
         job.event = self._equeue.rent(
@@ -169,15 +161,12 @@ class FCFSServer(Server):
 
     def _complete(self, job: _FCFSJob) -> None:
         job.event = None  # the rented event is returning to the free-list
-        now = self.sim.now
         self._active.remove(job)
         self.busy.add(-1)
         self.population.add(-1)
-        self.responses.record(now - job.arrived)
         self.completions += 1
         if self._queue:
-            next_process, next_demand, next_arrived = self._queue.popleft()
-            self._begin(next_process, next_demand, arrived=next_arrived)
+            self._begin(*self._queue.popleft())
         job.process.resume_now()
 
     def abort_all(self) -> int:
@@ -206,8 +195,8 @@ class PSServer(Server):
     Only the earliest virtual finish needs a scheduled event, and the event
     is rebuilt on every arrival/departure.
 
-    Each job is one ``(finish_virtual, seq, process, arrived)`` tuple in
-    the min-heap; ``seq`` is unique, so comparisons never reach the
+    Each job is one ``(finish_virtual, seq, process)`` tuple in the
+    min-heap; ``seq`` is unique, so comparisons never reach the
     process.  The hot paths read the job count once per call.
     """
 
@@ -231,12 +220,10 @@ class PSServer(Server):
         if n:
             self._virtual += (now - self._last_update) / n
         self._last_update = now
-        jobs.push((self._virtual + demand, next(self._seq), process, now))
+        jobs.push((self._virtual + demand, next(self._seq), process))
         self.population.add(1)
         if not n:
             self.busy.set(1)
-        # PS has no queueing phase: service starts immediately at reduced rate.
-        self.waits.record(0.0)
         self._reschedule(n + 1)
 
     def _reschedule(self, n: int) -> None:
@@ -264,7 +251,7 @@ class PSServer(Server):
         n = len(jobs)
         virtual = self._virtual + (now - self._last_update) / n
         self._last_update = now
-        finish_virtual, _seq, process, arrived = jobs.pop()
+        finish_virtual, _seq, process = jobs.pop()
         # Pin the virtual clock to the finish value to stop drift compounding.
         if finish_virtual > virtual:
             virtual = finish_virtual
@@ -272,7 +259,6 @@ class PSServer(Server):
         self.population.add(-1)
         if n == 1:
             self.busy.set(0)
-        self.responses.record(now - arrived)
         self.completions += 1
         self._reschedule(n - 1)
         process.resume_now()
@@ -308,17 +294,13 @@ class DelayStation(Server):
         now = self.sim.now
         self.population.add(1)
         self.busy.add(1)
-        self.waits.record(0.0)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
-        self._equeue.rent(
-            now + demand, lambda: self._complete(process, now), self._done_label
-        )
+        self._equeue.rent(now + demand, lambda: self._complete(process), self._done_label)
 
-    def _complete(self, process: Process, arrived: float) -> None:
+    def _complete(self, process: Process) -> None:
         self.population.add(-1)
         self.busy.add(-1)
-        self.responses.record(self.sim.now - arrived)
         self.completions += 1
         process.resume_now()
 

@@ -19,14 +19,11 @@ The package gives every run three machine-readable observation surfaces
   byte-deterministic Chrome-trace/JSONL exporters;
 
 plus **exporters** (:mod:`repro.telemetry.exporters`) for JSONL event
-logs and CSV/JSON timelines, a **session** façade
-(:mod:`repro.telemetry.session`) that wires everything to one system,
-and a **kernel self-profiler** (:mod:`repro.telemetry.profile`,
-``python -m repro.telemetry.profile``) attributing wall time to engine
-phases.
+logs and CSV/JSON timelines, and a **session** façade
+(:mod:`repro.telemetry.session`) that wires everything to one system.
+Wall time per layer is measured from outside the package, by
+``python3 perfbench/run.py --trace 1``.
 """
-
-from typing import Any
 
 from repro.telemetry.bus import EventBus, EventLog, Handler, Subscription
 from repro.telemetry.events import (
@@ -197,18 +194,4 @@ __all__ = [
     "decisions_from_jsonl",
     "write_decisions_jsonl",
     "read_decisions_jsonl",
-    # profiler
-    "KernelProfiler",
-    "PhaseReport",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    # The profiler loads on first use: importing it eagerly here would
-    # make ``python -m repro.telemetry.profile`` find its own module
-    # already in sys.modules and print runpy's RuntimeWarning.
-    if name in ("KernelProfiler", "PhaseReport"):
-        from repro.telemetry import profile
-
-        return getattr(profile, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

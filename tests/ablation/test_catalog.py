@@ -55,7 +55,7 @@ class TestBuilders:
             "estimator",
             "allocation-information",
         ]
-        assert spec.baseline.policy == "LERT"
+        assert spec.policy == "LERT"
 
     def test_smoke_ignores_scale_settings(self):
         from repro.ablation.catalog import SMOKE_SETTINGS

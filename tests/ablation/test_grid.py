@@ -8,9 +8,10 @@ import sys
 import pytest
 
 from repro.ablation import BASELINE_LABEL, build_study, expand
-from repro.ablation.spec import BaselineRun, Component, StudySpec, Variant
-from repro.experiments.cache import cache_key
+from repro.ablation.spec import Component, StudySpec, Variant
+from repro.experiments.parallel import ReplicationTask
 from repro.experiments.runconfig import RunSettings
+from repro.extensions import StaleLoadInfoSpec
 from repro.model.config import paper_defaults
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -26,7 +27,7 @@ def two_component_spec() -> StudySpec:
         description="",
         metric="waiting_time",
         config=paper_defaults(num_sites=2, mpl=3),
-        baseline=BaselineRun(policy="LOCAL"),
+        policy="LOCAL",
         settings=SMALL,
         components=(
             Component(
@@ -58,14 +59,11 @@ class TestExpansion:
         # One task per replication, in replication order.
         for cell in grid.all_cells():
             assert len(cell.tasks) == SMALL.replications
-            assert [t.seed for t in cell.tasks] == [
-                SMALL.seed_for(0),
-                SMALL.seed_for(1),
-            ]
+            assert [t.run for t in cell.tasks] == [SMALL.spec(0), SMALL.spec(1)]
 
     def test_crn_pairing_shares_seeds_across_cells(self):
         grid = expand(two_component_spec())
-        seeds = {tuple(t.seed for t in cell.tasks) for cell in grid.all_cells()}
+        seeds = {tuple(t.run.seed for t in cell.tasks) for cell in grid.all_cells()}
         assert len(seeds) == 1  # every cell faces the same seed stream
 
     def test_variant_overrides_apply(self):
@@ -82,17 +80,7 @@ class TestExpansion:
     def test_run_ids_are_cache_keys(self):
         grid = expand(two_component_spec())
         task = grid.cell("policy:bnq").tasks[0]
-        expected = cache_key(
-            task.config,
-            task.policy,
-            seed=task.seed,
-            warmup=task.warmup,
-            duration=task.duration,
-            system_kind=task.system_kind,
-            system_kwargs=task.system_kwargs,
-            faults=task.faults,
-            workload=task.workload,
-        )
+        expected = ReplicationTask(task.config, task.policy, run=task.run).key()
         assert grid.cell("policy:bnq").run_ids[0] == expected
 
     def test_unknown_cell_label(self):
@@ -107,7 +95,7 @@ class TestExpansion:
             description=spec.description,
             metric=spec.metric,
             config=spec.config,
-            baseline=spec.baseline,
+            policy=spec.policy,
             settings=spec.settings,
             components=(
                 Component(
@@ -115,15 +103,17 @@ class TestExpansion:
                     description="",
                     variants=(
                         Variant(
-                            name="stale-negative",
-                            system_kind="stale",
-                            system_kwargs=(("refresh_interval", -5.0),),
+                            name="stale-twice",
+                            mechanisms=(
+                                StaleLoadInfoSpec(refresh_interval=25.0),
+                                StaleLoadInfoSpec(refresh_interval=50.0),
+                            ),
                         ),
                     ),
                 ),
             ),
         )
-        with pytest.raises(ValueError, match="stale-negative"):
+        with pytest.raises(ValueError, match="broken:stale-twice.*two of kind 'stale'"):
             expand(bad)
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.ablation.spec import (
     STUDY_FORMAT_VERSION,
     STUDY_METRICS,
-    BaselineRun,
     Component,
     StudySpec,
     Variant,
@@ -16,7 +15,10 @@ from repro.ablation.spec import (
     study_spec_from_dict,
     study_spec_to_dict,
 )
+from repro.ablation.grid import expand
+from repro.codec import ConfigError
 from repro.experiments.runconfig import RunSettings
+from repro.extensions import HeterogeneousCPUSpec, StaleLoadInfoSpec, UpdatesSpec
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
 from repro.workloads import AdmissionControl, PoissonOpen, WorkloadSpec
@@ -31,7 +33,7 @@ def tiny_spec(**overrides) -> StudySpec:
         description="test spec",
         metric="response_time",
         config=paper_defaults(num_sites=2, mpl=3),
-        baseline=BaselineRun(policy="LOCAL"),
+        policy="LOCAL",
         settings=SMALL,
         components=(
             Component(
@@ -87,12 +89,23 @@ class TestValidation:
             Variant(name="noop")
 
     def test_kwargs_without_kind_rejected(self):
-        with pytest.raises(ValueError, match="system_kwargs"):
-            Variant(name="bad", system_kwargs=(("refresh_interval", 5.0),))
+        data = study_spec_to_dict(tiny_spec())
+        data["mechanisms"] = [{"refresh_interval": 5.0}]
+        with pytest.raises(ConfigError, match=r"^mechanisms\[0\]: unknown mechanism kind None"):
+            study_spec_from_dict(data)
 
-    def test_unknown_system_kind_rejected(self):
-        with pytest.raises(ValueError, match="system kind"):
-            BaselineRun(policy="LOCAL", system_kind="quantum")
+    def test_empty_mechanism_list_is_an_override(self):
+        inherit = Variant(name="inherit", policy="BNQ")
+        plain = Variant(name="plain", policy="BNQ", mechanisms=())
+        spec = tiny_spec(
+            mechanisms=(UpdatesSpec(),),
+            components=(Component(name="c", variants=(inherit, plain)),),
+        )
+        grid = expand(spec)
+        assert grid.cell("c:inherit").tasks[0].mechanisms == (UpdatesSpec(),)
+        assert grid.cell("c:plain").tasks[0].mechanisms == ()
+        assert "mechanisms" not in study_spec_to_dict(spec)["components"][0]["variants"][0]
+        assert study_spec_to_dict(spec)["components"][0]["variants"][1]["mechanisms"] == []
 
     def test_bad_config_patch_fails_at_construction(self):
         component = Component(
@@ -153,13 +166,9 @@ class TestRoundTrip:
         )
         assert study_spec_from_dict(study_spec_to_dict(spec)) == spec
 
-    def test_round_trip_with_system_kwargs(self):
+    def test_round_trip_with_mechanisms(self):
         spec = tiny_spec(
-            baseline=BaselineRun(
-                policy="LOCAL",
-                system_kind="updates",
-                system_kwargs=(("update_prob", 0.1),),
-            ),
+            mechanisms=(UpdatesSpec(update_prob=0.1),),
             components=(
                 Component(
                     name="staleness",
@@ -167,14 +176,20 @@ class TestRoundTrip:
                     variants=(
                         Variant(
                             name="stale",
-                            system_kind="stale",
-                            system_kwargs=(("refresh_interval", 25.0),),
+                            mechanisms=(
+                                StaleLoadInfoSpec(refresh_interval=25.0),
+                                UpdatesSpec(update_prob=0.1),
+                            ),
                         ),
                     ),
                 ),
             ),
         )
-        assert study_spec_from_dict(study_spec_to_dict(spec)) == spec
+        data = json.loads(json.dumps(study_spec_to_dict(spec)))
+        assert data["mechanisms"] == [
+            {"kind": "updates", "update_prob": 0.1, "update_pages": 4, "apply_cpu_time": 0.05}
+        ]
+        assert study_spec_from_dict(data) == spec
 
     def test_future_format_version_rejected(self):
         data = study_spec_to_dict(tiny_spec())
@@ -200,3 +215,68 @@ class TestRoundTrip:
         # Through actual JSON text, so tuples become lists and back.
         data = json.loads(json.dumps(study_spec_to_dict(spec)))
         assert study_spec_from_dict(data) == spec
+
+
+class TestMechanismInput:
+    """Bad mechanism input fails at load or expansion, naming where."""
+
+    def variant_data(self, mechanisms):
+        spec = tiny_spec(
+            components=(
+                Component(name="m", variants=(Variant(name="v", policy="BNQ"),)),
+            )
+        )
+        data = json.loads(json.dumps(study_spec_to_dict(spec)))
+        data["components"][0]["variants"][0]["mechanisms"] = mechanisms
+        return data
+
+    def test_unknown_kind(self):
+        data = self.variant_data([{"kind": "stael", "refresh_interval": 50.0}])
+        with pytest.raises(
+            ConfigError,
+            match=r"^components\[0\]\.variants\[0\]\.mechanisms\[0\]: "
+            r"unknown mechanism kind 'stael'$",
+        ):
+            study_spec_from_dict(data)
+
+    def test_misspelled_parameter(self):
+        data = self.variant_data([{"kind": "stale", "refresh_intervall": 50.0}])
+        with pytest.raises(
+            ConfigError,
+            match=r"variants\[0\]\.mechanisms\[0\]: unknown key 'refresh_intervall'",
+        ):
+            study_spec_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ({"kind": "stale", "refresh_interval": -1}, "refresh_interval must be >= 0"),
+            ({"kind": "updates", "update_prob": 1.5}, "update_prob must be in"),
+            ({"kind": "updates", "update_pages": 2.5}, "update_pages: expected an integer"),
+            ({"kind": "heterogeneous", "cpu_speed_factors": [1.0, 0.0]}, "must be > 0"),
+        ],
+    )
+    def test_bad_value(self, item, message):
+        with pytest.raises(ConfigError, match=r"mechanisms\[0\][.:].*" + message):
+            study_spec_from_dict(self.variant_data([item]))
+
+    def test_bad_value_in_code(self):
+        with pytest.raises(ValueError, match="refresh_interval must be >= 0"):
+            StaleLoadInfoSpec(refresh_interval=-1.0)
+        with pytest.raises(ConfigError, match="cpu_speed_factors"):
+            HeterogeneousCPUSpec(cpu_speed_factors="fast")
+
+    def test_two_of_one_kind(self):
+        data = self.variant_data(
+            [{"kind": "stale", "refresh_interval": 25.0}, {"kind": "stale"}]
+        )
+        spec = study_spec_from_dict(data)
+        with pytest.raises(ValueError, match="cell 'm:v'.*two of kind 'stale'"):
+            expand(spec)
+        with pytest.raises(ValueError, match="cell 'baseline'.*two of kind 'updates'"):
+            expand(tiny_spec(mechanisms=(UpdatesSpec(), UpdatesSpec(update_prob=0.5))))
+
+    def test_speed_factors_must_match_the_sites(self):
+        spec = tiny_spec(mechanisms=(HeterogeneousCPUSpec(cpu_speed_factors=(1.0, 2.0, 3.0)),))
+        with pytest.raises(ValueError, match="cell 'baseline'.*3 speed factors for 2 sites"):
+            expand(spec)

@@ -21,15 +21,16 @@ from repro.experiments.cache import (
     CACHE_DIR_ENV,
     CacheStats,
     ResultCache,
-    cache_key,
     canonical_json,
     default_cache_dir,
 )
 from repro.ablation.study import simulate
-from repro.experiments.parallel import replication_tasks, run_tasks
+from repro.experiments.parallel import ReplicationTask, replication_tasks, run_tasks
 from repro.experiments.runconfig import RunSettings
+from repro.extensions import StaleLoadInfoSpec, UpdatesSpec
 from repro.model.config import paper_defaults
 from repro.model.metrics import SystemResults
+from repro.runner import RunSpec
 from repro.sim.stats import IntervalEstimate
 
 #: Short but real run settings for end-to-end cache tests.
@@ -74,13 +75,10 @@ def cache(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _key(config=None, policy="LERT", **overrides):
-    base = dict(
-        seed=7, warmup=100.0, duration=500.0, system_kind="standard",
-        system_kwargs=(),
-    )
-    base.update(overrides)
-    return cache_key(config if config is not None else paper_defaults(), policy, **base)
+def _key(config=None, policy="LERT", mechanisms=(), **overrides):
+    run = RunSpec(**{"seed": 7, "warmup": 100.0, "duration": 500.0, **overrides})
+    config = config if config is not None else paper_defaults()
+    return ReplicationTask(config, policy, mechanisms=mechanisms, run=run).key()
 
 
 class TestCacheKey:
@@ -102,9 +100,7 @@ class TestCacheKey:
             {"seed": 8},
             {"warmup": 101.0},
             {"duration": 501.0},
-            {"system_kind": "stale"},
-            # A key is a task's: kwargs need an extension kind to be valid.
-            {"system_kwargs": (("refresh_interval", 5.0),), "system_kind": "stale"},
+            {"mechanisms": (StaleLoadInfoSpec(5.0), UpdatesSpec())},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -121,25 +117,13 @@ class TestCacheKey:
         )
         assert _key(bumped) != _key(cfg)
 
-    def test_system_kwargs_order_irrelevant(self):
-        forward = _key(
-            system_kind="updates", system_kwargs=(("update_pages", 2), ("update_prob", 0.1))
-        )
-        backward = _key(
-            system_kind="updates", system_kwargs=(("update_prob", 0.1), ("update_pages", 2))
-        )
-        assert forward == backward
-        assert forward != _key(system_kind="updates")
-
-    def test_task_key_matches_cache_key(self, tiny_config):
-        task = replication_tasks(tiny_config, "BNQ", SMALL)[0]
-        assert task.key() == cache_key(
-            tiny_config,
-            "BNQ",
-            seed=SMALL.seed_for(0),
-            warmup=SMALL.warmup,
-            duration=SMALL.duration,
-        )
+    def test_mechanism_order_is_part_of_the_key(self):
+        """Mechanisms bind in list order, so the order is part of the run."""
+        stale, updates = StaleLoadInfoSpec(5.0), UpdatesSpec(update_prob=0.1)
+        forward = _key(mechanisms=(stale, updates))
+        assert forward == _key(mechanisms=(StaleLoadInfoSpec(5), UpdatesSpec(0.1)))
+        assert forward != _key(mechanisms=(updates, stale))
+        assert forward != _key(mechanisms=(stale,))
 
 
 class TestCacheKeyProperties:

@@ -8,6 +8,7 @@ regardless of completion order, and fsum-based averaging makes replication
 averaging order-independent.
 """
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.ablation import catalog
 from repro.ablation.catalog import GridOutcome, grid_study
 from repro.ablation.study import metrics_from_runs, run_study, simulate
+from repro.codec import ConfigError, decode, encode
 from repro.experiments import (
     ablations,
     msg_sensitivity,
@@ -33,7 +35,9 @@ from repro.experiments.parallel import (
     run_tasks,
 )
 from repro.experiments.runconfig import QUICK, RunSettings
+from repro.extensions import StaleLoadInfoSpec
 from repro.model.config import paper_defaults
+from repro.runner import RunSpec
 
 #: Short but real runs: full paper-defaults systems, reduced horizons.
 SMALL = RunSettings(warmup=150.0, duration=600.0, replications=1, base_seed=42)
@@ -55,34 +59,26 @@ class TestResolveJobs:
 
 class TestTaskSpec:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ReplicationTask(paper_defaults(), "LOCAL", 1, 10.0, 20.0, "warp")
+        data = encode(ReplicationTask(paper_defaults(), "LOCAL", run=RunSpec(10.0, 20.0)))
+        data["mechanisms"] = [{"kind": "warp"}]
+        with pytest.raises(ConfigError, match=r"mechanisms\[0\]: unknown mechanism kind 'warp'"):
+            decode(ReplicationTask, data)
 
     def test_kwargs_canonicalized(self):
+        """A spec built in code keys like the same spec read from JSON."""
+        run = RunSpec(10.0, 20.0, seed=1)
         a = ReplicationTask(
-            paper_defaults(),
-            "LERT",
-            1,
-            10.0,
-            20.0,
-            "stale",
-            (("refresh_interval", 5.0),),
+            paper_defaults(), "LERT", mechanisms=(StaleLoadInfoSpec(refresh_interval=5),), run=run
         )
-        b = ReplicationTask(
-            paper_defaults(),
-            "LERT",
-            1,
-            10.0,
-            20.0,
-            "stale",
-            (("refresh_interval", 5.0),),
-        )
+        b = decode(ReplicationTask, json.loads(json.dumps(encode(a))))
         assert a == b
         assert a.key() == b.key()
+        assert a.mechanisms[0].refresh_interval == 5.0
 
     def test_replication_tasks_use_settings_seeds(self):
         tasks = replication_tasks(paper_defaults(), "BNQ", SMALL3)
-        assert [t.seed for t in tasks] == [SMALL3.seed_for(r) for r in range(3)]
+        assert [t.run for t in tasks] == [SMALL3.spec(r) for r in range(3)]
+        assert [t.run.seed for t in tasks] == [SMALL3.seed_for(r) for r in range(3)]
 
 
 class TestSimulateEquivalence:

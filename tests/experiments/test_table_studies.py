@@ -58,7 +58,7 @@ def _think_grid(policies, values=(40.0, 80.0)):
 class TestGridStudy:
     def test_baseline_is_first_point_under_first_policy(self):
         spec = _think_grid(("LOCAL", "BNQ"))
-        assert spec.baseline.policy == "LOCAL"
+        assert spec.policy == "LOCAL"
         assert spec.config.site.think_time == 40.0
         (component,) = spec.components
         assert component.name == "think"
@@ -110,6 +110,6 @@ class TestGridStudy:
         plan = failure_plan(900.0)
         spec = build_study("failures", STANDARD.with_faults(plan))
         grid = expand(spec)
-        assert grid.baseline.tasks[0].faults == plan
-        assert grid.cell("failures:none-BNQ").tasks[0].faults == plan
-        assert grid.cell("failures:1000-BNQ").tasks[0].faults != plan
+        assert grid.baseline.tasks[0].run.faults == plan
+        assert grid.cell("failures:none-BNQ").tasks[0].run.faults == plan
+        assert grid.cell("failures:1000-BNQ").tasks[0].run.faults != plan

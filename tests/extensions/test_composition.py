@@ -1,21 +1,29 @@
 """Composition: every extension mechanism runs inside the one life cycle.
 
 The mechanisms combine with each other, with a fault plan and with an
-open workload — on a bare ``DistributedDatabase`` and through the
-experiment harness's ``ReplicationTask``.
+open workload — on a bare ``DistributedDatabase``, through the
+experiment harness's ``ReplicationTask`` and as a study cell.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.experiments.parallel import EXTENSION_KINDS, ReplicationTask, run_tasks
+from repro.ablation import build_study, expand, run_study
+from repro.experiments.context import StudyContext
+from repro.experiments.parallel import ReplicationTask, run_tasks
 from repro.extensions import (
+    MECHANISMS,
     HeterogeneousCPU,
+    HeterogeneousCPUSpec,
     Migration,
     PartialReplication,
     ReplicationMap,
     StaleLoadInfo,
+    StaleLoadInfoSpec,
     Subqueries,
     Updates,
+    UpdatesSpec,
 )
 from repro.faults.plan import (
     FaultPlan,
@@ -26,7 +34,9 @@ from repro.faults.plan import (
 )
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
+from repro.runner import RunSpec, execute
 from repro.telemetry.events import QueryAborted, QueryAllocated
+from repro.telemetry.session import TelemetryConfig
 from repro.workloads import AdmissionControl, PoissonOpen, WorkloadSpec
 
 CHAOS = FaultPlan(
@@ -43,27 +53,33 @@ POISSON = WorkloadSpec(
     admission=AdmissionControl(max_pending=8),
 )
 
-KIND_KWARGS = {
-    "stale": (("broadcast_cost", 0.2), ("refresh_interval", 25.0)),
-    "updates": (("update_prob", 0.3),),
-    "heterogeneous": (("cpu_speed_factors", (0.5, 1.0, 2.0)),),
+KIND_SPECS = {
+    "stale": StaleLoadInfoSpec(refresh_interval=25.0, broadcast_cost=0.2),
+    "updates": UpdatesSpec(update_prob=0.3, update_pages=2, apply_cpu_time=0.1),
+    "heterogeneous": HeterogeneousCPUSpec(cpu_speed_factors=(0.5, 1.0, 2.0)),
 }
 
 
 class TestHarnessKinds:
-    @pytest.mark.parametrize("kind", sorted(EXTENSION_KINDS))
+    @pytest.mark.parametrize("kind", sorted(MECHANISMS.classes))
+    def test_spec_builds_its_mechanism_from_every_field(self, kind):
+        # Every sample field differs from its default, so a build() that
+        # drops one fails here.
+        spec = KIND_SPECS[kind]
+        mechanism = spec.build()
+        for field in dataclasses.fields(spec):
+            assert getattr(mechanism, field.name) == getattr(spec, field.name)
+
+    @pytest.mark.parametrize("kind", sorted(MECHANISMS.classes))
     def test_faulted_open_task_jobs2_matches_serial(self, tiny_config, kind):
         tasks = [
             ReplicationTask(
-                config=tiny_config,
-                policy="LERT",
-                seed=seed,
-                warmup=50.0,
-                duration=500.0,
-                system_kind=kind,
-                system_kwargs=KIND_KWARGS[kind],
-                faults=CHAOS,
-                workload=POISSON,
+                tiny_config,
+                "LERT",
+                mechanisms=(KIND_SPECS[kind],),
+                run=RunSpec(
+                    warmup=50.0, duration=500.0, seed=seed, faults=CHAOS, workload=POISSON
+                ),
             )
             for seed in (1, 2)
         ]
@@ -77,17 +93,39 @@ class TestHarnessKinds:
             assert results.completions > 0
 
     def test_bad_mechanism_arguments_fail_at_task_construction(self, tiny_config):
-        common = dict(config=tiny_config, policy="LERT", seed=1, warmup=1.0, duration=2.0)
+        run = RunSpec(warmup=1.0, duration=2.0, seed=1)
         with pytest.raises(ValueError, match="refresh_interval"):
+            StaleLoadInfoSpec(refresh_interval=-1.0)
+        with pytest.raises(TypeError, match="nope"):
+            UpdatesSpec(nope=1)
+        with pytest.raises(ValueError, match="two of kind 'updates'"):
             ReplicationTask(
-                **common, system_kind="stale", system_kwargs=(("refresh_interval", -1.0),)
+                tiny_config, "LERT", mechanisms=(UpdatesSpec(), UpdatesSpec()), run=run
             )
-        with pytest.raises(ValueError, match="bad system_kwargs"):
+        with pytest.raises(ValueError, match="without telemetry"):
             ReplicationTask(
-                **common, system_kind="updates", system_kwargs=(("nope", 1),)
+                tiny_config, "LERT", run=RunSpec(1.0, 2.0, telemetry=TelemetryConfig())
             )
-        with pytest.raises(ValueError, match="extension system kind"):
-            ReplicationTask(**common, system_kwargs=(("update_prob", 0.1),))
+
+
+class TestComposedStudyCell:
+    """The smoke study's stale-info + updates cell is the direct composition."""
+
+    def test_cell_equals_direct_run_and_jobs2_equals_serial(self):
+        spec = build_study("smoke")
+        serial = run_study(spec)
+        cell = serial.cell("mechanisms:stale-updates")
+        (task,) = expand(spec).cell(cell.label).tasks
+        system = DistributedDatabase(
+            spec.config,
+            make_policy(spec.policy),
+            seed=task.run.seed,
+            extensions=(StaleLoadInfo(50.0), Updates(0.2)),
+        )
+        direct = execute(system, task.run).results
+        assert cell.per_replication == (direct,)
+        assert direct.completions > 0
+        assert run_study(spec, context=StudyContext(jobs=2)) == serial
 
 
 class TestUpdatesUnderFaults:

@@ -14,7 +14,7 @@ These tests pin the headline guarantee of the fault layer:
 
 import dataclasses
 
-from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import ReplicationTask, replication_tasks, run_tasks
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import (
@@ -44,6 +44,12 @@ CHAOS = FaultPlan(
 )
 
 SPEC = dict(warmup=50.0, duration=500.0, seed=1234)
+
+
+def _key(config, **run):
+    """Cache key of a BNQ task on a short run with *run*'s extra fields."""
+    spec = RunSpec(warmup=10.0, duration=20.0, seed=1, **run)
+    return ReplicationTask(config, "BNQ", run=spec).key()
 
 
 def chaos_report(tiny_config, *, policy="BNQ", telemetry=None, plan=CHAOS, seed=1234):
@@ -136,14 +142,9 @@ class TestNoopPlanIsStrictNoop:
 
     def test_task_normalizes_noop_to_none(self, tiny_config):
         task = ReplicationTask(
-            config=tiny_config,
-            policy="BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            faults=FaultPlan(),
+            tiny_config, "BNQ", run=RunSpec(warmup=10.0, duration=20.0, faults=FaultPlan())
         )
-        assert task.faults is None
+        assert task.run.faults is None
 
 
 class TestParallelReplay:
@@ -152,7 +153,7 @@ class TestParallelReplay:
             warmup=50.0, duration=400.0, replications=2, faults=CHAOS
         )
         tasks = replication_tasks(tiny_config, "BNQ", settings)
-        assert all(task.faults == CHAOS for task in tasks)
+        assert all(task.run.faults == CHAOS for task in tasks)
         serial = run_tasks(tasks, jobs=1)
         parallel = run_tasks(tasks, jobs=2)
         assert serial == parallel
@@ -161,33 +162,20 @@ class TestParallelReplay:
 
 class TestCacheSeparation:
     def test_faulted_key_differs_from_faultless(self, tiny_config):
-        base = cache_key(tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0)
-        faulted = cache_key(
-            tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0, faults=CHAOS
-        )
+        base = _key(tiny_config)
+        faulted = _key(tiny_config, faults=CHAOS)
         assert base != faulted
 
     def test_none_faults_key_is_the_legacy_key(self, tiny_config):
         """``faults=None`` must hash exactly like the pre-faults payload,
         so existing cache archives stay addressable."""
-        base = cache_key(tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0)
-        explicit = cache_key(
-            tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0, faults=None
-        )
+        base = _key(tiny_config)
+        explicit = _key(tiny_config, faults=None)
         assert base == explicit
 
     def test_different_plans_different_keys(self, tiny_config):
-        a = cache_key(
-            tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0, faults=CHAOS
-        )
-        b = cache_key(
-            tiny_config,
-            "BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            faults=dataclasses.replace(CHAOS, max_retries=3),
-        )
+        a = _key(tiny_config, faults=CHAOS)
+        b = _key(tiny_config, faults=dataclasses.replace(CHAOS, max_retries=3))
         assert a != b
 
     def test_faulted_run_roundtrips_through_cache(self, tiny_config, tmp_path):

@@ -271,23 +271,18 @@ def jobs_batch_tasks() -> List[ReplicationTask]:
     config = golden_config()
     tasks = [
         ReplicationTask(
-            config=config,
-            policy=policy,
-            seed=seed,
-            warmup=JOBS_WARMUP,
-            duration=JOBS_DURATION,
+            config, policy, run=RunSpec(warmup=JOBS_WARMUP, duration=JOBS_DURATION, seed=seed)
         )
         for policy in JOBS_BATCH_POLICIES
         for seed in JOBS_BATCH_SEEDS
     ]
     tasks.append(
         ReplicationTask(
-            config=config,
-            policy="RANDOM",
-            seed=13,
-            warmup=JOBS_WARMUP,
-            duration=JOBS_DURATION,
-            faults=golden_fault_plan(),
+            config,
+            "RANDOM",
+            run=RunSpec(
+                warmup=JOBS_WARMUP, duration=JOBS_DURATION, seed=13, faults=golden_fault_plan()
+            ),
         )
     )
     return tasks

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 from repro.ablation.spec import load_study_spec, study_spec_from_dict
-from repro.codec import ConfigError, decode
+from repro.codec import ConfigError, decode, encode
 from repro.experiments.parallel import ReplicationTask
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan
@@ -96,7 +96,14 @@ class TestOneRunWindowCheck:
         for make in (
             lambda: RunSpec(warmup=warmup, duration=duration),
             lambda: RunSettings(warmup=warmup, duration=duration),
-            lambda: ReplicationTask(paper_defaults(), "LERT", 1, warmup, duration),
+            lambda: decode(
+                ReplicationTask,
+                {
+                    "config": encode(paper_defaults()),
+                    "policy": "LERT",
+                    "run": {"warmup": warmup, "duration": duration, "seed": 1},
+                },
+            ),
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 make()
@@ -106,7 +113,7 @@ class TestOneRunWindowCheck:
         for carrier in (
             RunSpec(**default),
             RunSettings(**default),
-            ReplicationTask(paper_defaults(), "LERT", 1, 1.0, 2.0, **default),
+            ReplicationTask(paper_defaults(), "LERT", run=RunSpec(1.0, 2.0, **default)).run,
         ):
             assert (carrier.faults, carrier.workload) == (None, None)
 

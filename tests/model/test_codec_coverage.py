@@ -5,7 +5,8 @@ of the root formats, so a new nested class is covered without an edit
 here — a base instance is built, each field is changed in turn, and the
 test checks that the encoding changes and that decoding it through JSON
 text restores the changed instance.  A changed :class:`ReplicationTask`
-field must also change :meth:`ReplicationTask.key`, the cache address.
+field, and a changed field of any mechanism spec in its list, must also
+change :meth:`ReplicationTask.key`, the cache address.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from typing import Any, Dict, List, Tuple, Union
 import pytest
 
 from repro import codec
-from repro.ablation.spec import BaselineRun, Component, StudySpec, Variant
+from repro.ablation.spec import Component, StudySpec, Variant
 from repro.codec import decode, encode
 from repro.ablation.study import MetricSet
 from repro.experiments.parallel import ReplicationTask
 from repro.experiments.runconfig import RunSettings
+from repro.extensions import MECHANISMS, HeterogeneousCPUSpec, StaleLoadInfoSpec, UpdatesSpec
 from repro.faults.plan import FaultPlan, MessageFaults, SiteOutage
 from repro.model.config import NetworkSpec, SiteSpec, SystemConfig, paper_defaults
 from repro.model.metrics import SystemResults
+from repro.runner import RunSpec
 from repro.telemetry.events import EVENT_TYPES
 from repro.telemetry.tracing import DecisionRecord, Span
 from repro.workloads.arrivals import MMPP, DiurnalRate, PoissonOpen
@@ -62,21 +65,22 @@ BASES: Dict[type, Any] = {
     MMPP: MMPP(rates=(0.5, 0.1), mean_holding=(10.0, 20.0)),
     DiurnalRate: DiurnalRate(base_rate=0.1, amplitude=0.5, period=100.0),
     RunSettings: RunSettings(warmup=10.0, duration=20.0, faults=FAULTS, workload=OPEN),
+    UpdatesSpec: UpdatesSpec(),
+    HeterogeneousCPUSpec: HeterogeneousCPUSpec(cpu_speed_factors=(1.0, 2.0, 3.0)),  # 3 sites
     ReplicationTask: ReplicationTask(
-        CONFIG, "LERT", seed=1, warmup=10.0, duration=20.0, system_kind="stale",
-        faults=FAULTS, workload=OPEN,
+        CONFIG, "LERT", mechanisms=(StaleLoadInfoSpec(),),
+        run=RunSpec(warmup=10.0, duration=20.0, seed=1, faults=FAULTS, workload=OPEN),
     ),
-    BaselineRun: BaselineRun(policy="LERT"),
     Variant: Variant(
-        name="v", policy="BNQ", system_kind="stale",
-        system_kwargs=(("refresh_interval", 5.0),),
+        name="v", policy="BNQ", mechanisms=(StaleLoadInfoSpec(refresh_interval=5.0),),
         config_patches=(("site.mpl", 9),), faults=FAULTS, workload=OPEN,
     ),
     Component: Component(name="c", description="d", variants=(Variant(name="v", policy="BNQ"),)),
 }
 BASES[StudySpec] = StudySpec(
     name="s", title="t", description="d", metric="response_time", config=CONFIG,
-    baseline=BASES[BaselineRun], settings=BASES[RunSettings], components=(BASES[Component],),
+    policy="LERT", mechanisms=(UpdatesSpec(),), settings=BASES[RunSettings],
+    components=(BASES[Component],),
 )
 
 #: Field changes the generic mutation would make invalid.
@@ -89,11 +93,7 @@ CHANGES: Dict[Tuple[type, str], Any] = {
     (DiurnalRate, "amplitude"): 0.25,
     (MMPP, "per_site"): None,  # only per_site=True is supported
     (DiurnalRate, "per_site"): None,
-    (ReplicationTask, "system_kind"): "updates",
-    (ReplicationTask, "system_kwargs"): (("refresh_interval", 5.0),),
-    (BaselineRun, "system_kind"): "updates",
-    (BaselineRun, "system_kwargs"): (("update_prob", 0.5),),
-    (Variant, "system_kind"): "updates",
+    (UpdatesSpec, "update_prob"): 0.5,
     (StudySpec, "metric"): "waiting_time",
 }
 
@@ -205,6 +205,19 @@ def test_every_field_reaches_encoding_and_round_trips(cls):
 def test_classes_cover_every_nested_format():
     names = {cls.__name__ for cls in codec_classes()}
     assert {"SiteSpec", "MessageFaults", "TraceDriven", "IntervalEstimate", "Variant"} <= names
+    # The mechanism specs are reached through the tuple-tagged fields.
+    assert set(MECHANISMS.classes.values()) <= set(codec_classes())
+
+
+@pytest.mark.parametrize("cls", list(MECHANISMS.classes.values()), ids=lambda cls: cls.__name__)
+def test_every_mechanism_field_reaches_the_cache_key(cls):
+    task = BASES[ReplicationTask]
+    changes = field_changes(cls)
+    assert len(changes) == len(dataclasses.fields(cls))
+    for name, base, changed in changes:
+        before = dataclasses.replace(task, mechanisms=(base,))
+        after = dataclasses.replace(task, mechanisms=(changed,))
+        assert after.key() != before.key(), f"{cls.__name__}.{name}"
 
 
 def test_excluded_field_is_caught(monkeypatch):
@@ -221,13 +234,13 @@ def test_field_left_out_of_the_key_is_caught(monkeypatch):
     """A task field the key ignored would fail the cache-key check."""
     real = codec.encode
 
-    def without_seed(value):
+    def without_run(value):
         data = real(value)
         if isinstance(value, ReplicationTask):
-            data.pop("seed")
+            data.pop("run")
         return data
 
-    monkeypatch.setattr("repro.experiments.cache.encode", without_seed)
-    assert "ReplicationTask.seed: change not in the cache key" in coverage_failures(
+    monkeypatch.setattr("repro.experiments.cache.encode", without_run)
+    assert "ReplicationTask.run: change not in the cache key" in coverage_failures(
         ReplicationTask
     )

@@ -341,9 +341,9 @@ class TestTailResume:
         labels = []
 
         class SubscribingStation(DelayStation):
-            def _complete(self, process, arrived):
+            def _complete(self, process):
                 sim.bus.subscribe(TraceMessage, lambda message: labels.append(message.label))
-                super()._complete(process, arrived)
+                super()._complete(process)
 
         station = SubscribingStation(sim, name="station")
 

@@ -52,10 +52,12 @@ class TestFCFSSingle:
     def test_waiting_time_recorded(self):
         sim = Simulator()
         server = FCFSServer(sim, servers=1)
-        run_jobs(sim, server, [(0.0, 2.0, "a"), (0.0, 2.0, "b")])
-        # a waits 0, b waits 2.
-        assert server.waits.count == 2
-        assert server.waits.mean == pytest.approx(1.0)
+        done = run_jobs(sim, server, [(0.0, 2.0, "a"), (0.0, 2.0, "b")])
+        # a waits 0 and leaves at 2; b waits 2 and leaves at 4.
+        assert done == [("a", 2.0), ("b", 4.0)]
+        assert server.completions == 2
+        # Little's law: mean response = population integral / completions.
+        assert server.population.integral / server.completions == pytest.approx(3.0)
 
     def test_utilization(self):
         sim = Simulator()
@@ -217,8 +219,9 @@ class TestDelayStation:
     def test_response_equals_demand(self):
         sim = Simulator()
         delay = DelayStation(sim)
-        run_jobs(sim, delay, [(0.0, 3.0, "a")])
-        assert delay.responses.mean == pytest.approx(3.0)
+        done = run_jobs(sim, delay, [(0.0, 3.0, "a")])
+        assert done == [("a", 3.0)]
+        assert delay.population.integral / delay.completions == pytest.approx(3.0)
 
 
 class TestStatisticsReset:
@@ -228,7 +231,6 @@ class TestStatisticsReset:
         run_jobs(sim, server, [(0.0, 2.0, "a")])
         server.reset_statistics()
         assert server.completions == 0
-        assert server.waits.count == 0
         assert server.population.time_average == 0.0
 
 
@@ -253,7 +255,6 @@ class TestTailResume:
                 station.completions,
                 station.population.integral,
                 station.busy.integral,
-                station.responses.total,
             )
 
         return build
@@ -370,8 +371,6 @@ def test_in_place_and_hop_runs_are_indistinguishable(processes):
                 station.completions,
                 station.population.integral,
                 station.busy.integral,
-                station.waits.total,
-                station.responses.total,
             )
             for station in stations.values()
         ]

@@ -13,6 +13,9 @@ Three contracts:
 
 import dataclasses
 
+import pytest
+
+from repro.codec import encode
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     ReplicationTask,
@@ -80,11 +83,18 @@ class TestCacheInvariance:
             assert result.telemetry is None
 
     def test_task_keys_carry_no_telemetry_dimension(self, tiny_config):
-        # ReplicationTask is the *complete* cache identity; RunSpec's
-        # telemetry options have nowhere to enter it.
-        task = ReplicationTask(tiny_config, "LERT", 11, 50.0, 200.0)
-        assert "telemetry" not in ReplicationTask.__dataclass_fields__
-        assert task.key() == ReplicationTask(tiny_config, "LERT", 11, 50.0, 200.0).key()
+        # ReplicationTask is the *complete* cache identity; its run may
+        # not carry telemetry options, so they cannot enter the key.
+        run_spec = RunSpec(warmup=50.0, duration=200.0, seed=11)
+        task = ReplicationTask(tiny_config, "LERT", run=run_spec)
+        assert "telemetry" not in encode(task)["run"]
+        assert task.key() == ReplicationTask(tiny_config, "LERT", run=run_spec).key()
+        with pytest.raises(ValueError, match="telemetry"):
+            ReplicationTask(
+                tiny_config,
+                "LERT",
+                run=dataclasses.replace(run_spec, telemetry=TelemetryConfig()),
+            )
 
     def test_cached_and_telemetry_runs_agree(self, tiny_config, tmp_path):
         cache = ResultCache(tmp_path)

@@ -41,15 +41,12 @@ class TestRunSpec:
         settings = RunSettings(
             warmup=10.0, duration=20.0, replications=3, base_seed=100
         )
-        spec = RunSpec.from_settings(settings, replication=2)
+        spec = settings.spec(2)
         assert spec.warmup == 10.0
         assert spec.duration == 20.0
         assert spec.seed == settings.seed_for(2)
         assert spec.telemetry is None
-        with_telemetry = RunSpec.from_settings(
-            settings, telemetry=TelemetryConfig()
-        )
-        assert with_telemetry.telemetry == TelemetryConfig()
+        assert settings.spec() == RunSpec(warmup=10.0, duration=20.0, seed=100)
 
 
 class TestRun:

@@ -156,11 +156,7 @@ class TestReplayByteIdentity:
         spec = dataclasses.replace(GOLDEN_SPEC, duration=300.0)
         traced = run(tiny_config, "BNQRD", spec)
         task = ReplicationTask(
-            config=tiny_config,
-            policy="BNQRD",
-            seed=spec.seed,
-            warmup=spec.warmup,
-            duration=spec.duration,
+            tiny_config, "BNQRD", run=dataclasses.replace(spec, telemetry=None)
         )
         serial = run_tasks([task], jobs=1)
         parallel = run_tasks([task], jobs=2)

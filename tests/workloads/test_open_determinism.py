@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.context import StudyContext
 from repro.experiments.parallel import (
     ReplicationTask,
@@ -42,6 +42,12 @@ BURSTY = WorkloadSpec(
 )
 
 SPEC = dict(warmup=50.0, duration=500.0, seed=1234)
+
+
+def _key(config, **run):
+    """Cache key of a BNQ task on a short run with *run*'s extra fields."""
+    spec = RunSpec(warmup=10.0, duration=20.0, seed=1, **run)
+    return ReplicationTask(config, "BNQ", run=spec).key()
 
 
 def open_report(config, *, policy="BNQ", workload=POISSON, telemetry=None,
@@ -138,14 +144,9 @@ class TestDefaultSpecIsStrictNoop:
 
     def test_task_normalizes_default_to_none(self, tiny_config):
         task = ReplicationTask(
-            config=tiny_config,
-            policy="BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            workload=WorkloadSpec(),
+            tiny_config, "BNQ", run=RunSpec(warmup=10.0, duration=20.0, workload=WorkloadSpec())
         )
-        assert task.workload is None
+        assert task.run.workload is None
 
 
 class TestExecuteBindsAtConstruction:
@@ -167,7 +168,7 @@ class TestParallelReplay:
             warmup=50.0, duration=400.0, replications=2, workload=BURSTY
         )
         tasks = replication_tasks(tiny_config, "BNQ", settings)
-        assert all(task.workload == BURSTY for task in tasks)
+        assert all(task.run.workload == BURSTY for task in tasks)
         serial = run_tasks(tasks, jobs=1)
         parallel = run_tasks(tasks, jobs=2)
         assert serial == parallel
@@ -176,49 +177,22 @@ class TestParallelReplay:
 
 class TestCacheSeparation:
     def test_open_key_differs_from_closed(self, tiny_config):
-        base = cache_key(tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0)
-        opened = cache_key(
-            tiny_config,
-            "BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            workload=POISSON,
-        )
+        base = _key(tiny_config)
+        opened = _key(tiny_config, workload=POISSON)
         assert base != opened
 
     def test_none_workload_key_is_the_legacy_key(self, tiny_config):
         """``workload=None`` must hash exactly like the pre-workloads
         payload, so existing cache archives stay addressable."""
-        base = cache_key(tiny_config, "BNQ", seed=1, warmup=10.0, duration=20.0)
-        explicit = cache_key(
-            tiny_config,
-            "BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            workload=None,
-        )
+        base = _key(tiny_config)
+        explicit = _key(tiny_config, workload=None)
         assert base == explicit
 
     def test_different_specs_different_keys(self, tiny_config):
-        a = cache_key(
+        a = _key(tiny_config, workload=POISSON)
+        b = _key(
             tiny_config,
-            "BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            workload=POISSON,
-        )
-        b = cache_key(
-            tiny_config,
-            "BNQ",
-            seed=1,
-            warmup=10.0,
-            duration=20.0,
-            workload=dataclasses.replace(
-                POISSON, admission=AdmissionControl(max_pending=9)
-            ),
+            workload=dataclasses.replace(POISSON, admission=AdmissionControl(max_pending=9)),
         )
         assert a != b
 
